@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 from .errors import FormatError
 from .homs import WEAK, MonotoneMap
@@ -71,6 +72,9 @@ def load_point(path, P: FinitePoset, Q: FinitePoset, stage: int) -> LexHomPoint:
     if (not isinstance(reals, list) or len(reals) != n
             or not all(isinstance(r, (int, float)) and not isinstance(r, bool) for r in reals)):
         raise FormatError(f"{path}: 'reals' must be an array of {n} numbers")
+    for r in reals:
+        if not math.isfinite(r):
+            raise FormatError(f"{path}: 'reals' must be finite numbers, got {r!r}")
     values = tuple(Q.index(b) for b in base)
     order = admissible_numbering(P).order
     by_position = tuple(float(reals[order[a]]) for a in range(n))

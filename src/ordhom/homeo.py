@@ -146,18 +146,16 @@ def membership(P: FinitePoset, Q: FinitePoset, point: LexHomPoint, k: int) -> bo
     for all positions a < b < k with p_(a) < p_(b) and equal base values.
     """
     vals = point.base.values
-    lt_p = P.strict_leq.tolist()
-    lt_q = Q.strict_leq.tolist()
     n = len(P)
     for i in range(n):
         for j in range(n):
-            if lt_p[i][j] and vals[i] != vals[j] and not lt_q[vals[i]][vals[j]]:
+            if P.less(i, j) and vals[i] != vals[j] and not Q.less(vals[i], vals[j]):
                 return False
     order = admissible_numbering(P).order
     reals = point.reals
     for b in range(min(k, n)):
         for a in range(b):
-            if lt_p[order[a]][order[b]] and vals[order[a]] == vals[order[b]]:
+            if P.less(order[a], order[b]) and vals[order[a]] == vals[order[b]]:
                 if not reals[a] < reals[b]:
                     return False
     return True

@@ -1,7 +1,8 @@
 """Finite posets, admissible numberings, and lexicographic real extensions.
 
 A finite poset is stored both as its Hasse diagram (cover pairs, for I/O)
-and as the full strict comparability matrix (for O(1) order queries).
+and as per-element bitmasks of its strict successors and predecessors (for
+O(1) order queries and the enumeration engines).
 `LexPoset` wraps a finite poset Q0 together with a depth k and denotes
 Q0 x R^k ordered lexicographically, leftmost coordinate most significant.
 Each application of `negate` appends one real coordinate; the Euler
@@ -12,9 +13,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
-
-import numpy as np
 
 from .errors import CycleError, UnknownElement
 
@@ -39,32 +37,32 @@ class FinitePoset:
     Attributes:
         elements: tuple of element identifiers (opaque strings).
         covers: tuple of (a, b) pairs, the transitive reduction of the order.
-        strict_leq: read-only boolean matrix; entry (i, j) is True iff
-            ``elements[i] < elements[j]`` strictly.
         pred_masks / succ_masks: per-element bitmasks of strict predecessors
-            and successors, for the enumeration engines.
+            and successors; bit j of ``succ_masks[i]`` is set iff
+            ``elements[i] < elements[j]`` strictly.
+        strict_leq: read-only boolean matrix derived from ``succ_masks``, as
+            a tuple of row tuples; entry [i][j] is True iff
+            ``elements[i] < elements[j]`` strictly.
     """
 
-    __slots__ = ("elements", "covers", "strict_leq", "_index",
-                 "pred_masks", "succ_masks")
+    __slots__ = ("elements", "covers", "_index", "pred_masks", "succ_masks")
 
-    def __init__(self, elements, covers, strict_leq):
+    def __init__(self, elements, covers, succ_masks):
         self.elements = tuple(elements)
         self.covers = tuple(covers)
-        strict_leq = np.asarray(strict_leq, dtype=bool)
-        strict_leq.setflags(write=False)
-        self.strict_leq = strict_leq
         self._index = {e: i for i, e in enumerate(self.elements)}
-        n = len(self.elements)
-        pred = [0] * n
-        succ = [0] * n
-        for i in range(n):
-            for j in range(n):
-                if strict_leq[i, j]:
-                    succ[i] |= 1 << j
-                    pred[j] |= 1 << i
+        self.succ_masks = tuple(succ_masks)
+        pred = [0] * len(self.elements)
+        for i, s in enumerate(self.succ_masks):
+            for j in _mask_bits(s):
+                pred[j] |= 1 << i
         self.pred_masks = tuple(pred)
-        self.succ_masks = tuple(succ)
+
+    @property
+    def strict_leq(self) -> tuple:
+        n = len(self.elements)
+        return tuple(tuple(bool(s >> j & 1) for j in range(n))
+                     for s in self.succ_masks)
 
     def __len__(self):
         return len(self.elements)
@@ -73,10 +71,10 @@ class FinitePoset:
         if not isinstance(other, FinitePoset):
             return NotImplemented
         return (self.elements == other.elements
-                and np.array_equal(self.strict_leq, other.strict_leq))
+                and self.succ_masks == other.succ_masks)
 
     def __hash__(self):
-        return hash((self.elements, self.strict_leq.tobytes()))
+        return hash((self.elements, self.succ_masks))
 
     def __repr__(self):
         return f"FinitePoset(elements={list(self.elements)!r}, covers={list(self.covers)!r})"
@@ -89,45 +87,43 @@ class FinitePoset:
 
     def less(self, i: int, j: int) -> bool:
         """Strict comparison by element indices."""
-        return bool(self.strict_leq[i, j])
+        return bool(self.succ_masks[i] >> j & 1)
 
     def is_chain(self) -> bool:
         """True iff every pair of distinct elements is comparable."""
-        m = self.strict_leq
-        return all(m[i, j] or m[j, i]
-                   for i, j in combinations(range(len(self)), 2))
+        full = (1 << len(self)) - 1
+        return all(p | s | 1 << i == full for i, (p, s)
+                   in enumerate(zip(self.pred_masks, self.succ_masks)))
 
     def restrict(self, indices) -> "FinitePoset":
         """Induced subposet on the given element indices (kept in ascending
         index order)."""
         idx = sorted(indices)
-        sub = self.strict_leq[np.ix_(idx, idx)]
+        sub = [sum(1 << b for b, j in enumerate(idx) if self.succ_masks[i] >> j & 1)
+               for i in idx]
         return _from_closure([self.elements[i] for i in idx], sub)
 
 
-def _transitive_closure(adj: np.ndarray) -> np.ndarray:
-    """Warshall closure of a boolean adjacency matrix."""
-    reach = adj.copy()
-    for k in range(len(reach)):
-        reach |= np.outer(reach[:, k], reach[k, :])
-    return reach
+def _mask_bits(mask: int):
+    """Indices of set bits, ascending."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
 
 
-def _transitive_reduction(closure: np.ndarray):
-    """Cover pairs of a transitively closed strict order: the comparabilities
-    with no intermediate element."""
-    lt = closure
-    n = len(lt)
-    via = (lt.astype(np.uint8) @ lt.astype(np.uint8)) > 0
-    red = lt & ~via
-    return [(i, j) for i in range(n) for j in range(n) if red[i, j]]
-
-
-def _from_closure(elements, closure: np.ndarray) -> FinitePoset:
-    """Build a poset from an already valid strict closure matrix."""
-    covers = [(elements[i], elements[j])
-              for i, j in _transitive_reduction(closure)]
-    return FinitePoset(elements, covers, closure)
+def _from_closure(elements, succ) -> FinitePoset:
+    """Build a poset from already transitively closed, irreflexive successor
+    masks. The covers are the comparabilities with no intermediate element,
+    listed in row-major (i, j) order."""
+    covers = []
+    for i, s in enumerate(succ):
+        via = 0
+        for j in _mask_bits(s):
+            via |= succ[j]
+        covers.extend((elements[i], elements[j]) for j in _mask_bits(s & ~via))
+    return FinitePoset(elements, covers, succ)
 
 
 def build_poset(elements, covers) -> FinitePoset:
@@ -145,17 +141,23 @@ def build_poset(elements, covers) -> FinitePoset:
         raise UnknownElement("element identifiers must be distinct")
     index = {e: i for i, e in enumerate(elements)}
     n = len(elements)
-    adj = np.zeros((n, n), dtype=bool)
+    succ = [0] * n
     for a, b in covers:
         if a not in index:
             raise UnknownElement(f"unknown element {a!r} in cover pair")
         if b not in index:
             raise UnknownElement(f"unknown element {b!r} in cover pair")
-        adj[index[a], index[b]] = True
-    closure = _transitive_closure(adj)
-    if closure.diagonal().any():
+        succ[index[a]] |= 1 << index[b]
+    # Warshall: after round k, succ[i] holds every j reachable from i
+    # through intermediate elements drawn from 0..k
+    for k in range(n):
+        bit, sk = 1 << k, succ[k]
+        for i in range(n):
+            if succ[i] & bit:
+                succ[i] |= sk
+    if any(s >> i & 1 for i, s in enumerate(succ)):
         raise CycleError("cover relation contains a cycle")
-    return _from_closure(elements, closure)
+    return _from_closure(elements, succ)
 
 
 def chain(n: int) -> FinitePoset:
@@ -233,24 +235,23 @@ def all_posets(n: int):
     """Yield every strict partial order on n labeled elements "1".."n".
 
     Exhaustive generation by enumerating relations over ordered pairs and
-    keeping the transitive, antisymmetric ones. Intended for small n (the
-    count grows as 1, 1, 3, 19, 219, 4231, ...).
+    keeping the transitive ones; with no pair (i, i) on offer, transitivity
+    also rules out 2-cycles. Intended for small n (the count grows as 1, 1,
+    3, 19, 219, 4231, ...).
     """
     elements = [str(i + 1) for i in range(n)]
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    m = len(pairs)
-    for mask in range(1 << m):
-        rel = [pairs[b] for b in range(m) if mask >> b & 1]
-        relset = set(rel)
-        if any((j, i) in relset for i, j in rel):
+    # bit i*(n-1) + c of a relation is the pair (i, j), j the c-th element
+    # other than i: relations count up through the ordered pairs row-major
+    width = max(n - 1, 0)
+    row_mask = (1 << width) - 1
+    for mask in range(1 << (n * width)):
+        succ = []
+        for i in range(n):
+            row = (mask >> (i * width)) & row_mask
+            succ.append((row & ((1 << i) - 1)) | ((row >> i) << (i + 1)))
+        if any(succ[j] & ~s for s in succ for j in _mask_bits(s)):
             continue
-        if any((a, d) not in relset
-               for a, b in rel for c, d in rel if b == c):
-            continue
-        closure = np.zeros((n, n), dtype=bool)
-        for i, j in rel:
-            closure[i, j] = True
-        yield _from_closure(elements, closure)
+        yield _from_closure(elements, succ)
 
 
 def random_poset(n: int, seed: int, edge_prob: float = 0.5) -> FinitePoset:

@@ -197,6 +197,23 @@ def test_homeo_backward_point(capsys, files):
     assert rep["result"]["outputs"] == [{"base": ["1", "1"], "reals": [5.0, 6.0]}]
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("direction", ["forward", "backward", "roundtrip"])
+def test_homeo_rejects_non_finite_reals(capsys, files, token, direction):
+    pt = files.write("pt.json", {"base": ["1", "1"], "reals": [0.0, float(token.lower())]})
+    with open(pt, encoding="utf-8") as fh:
+        assert token in fh.read()
+    code, out, err = run(capsys, ["homeo", files.chain2, files.chain1, pt,
+                                  "--direction", direction])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "finite" in err
+    code, rep, _ = run_json(capsys, ["homeo", files.chain2, files.chain1, pt,
+                                     "--direction", direction])
+    assert code == 1
+    assert rep["status"] == "error" and "finite" in rep["result"]["error"]
+
+
 def test_homeo_roundtrip_random(capsys, files):
     code, rep, _ = run_json(capsys, ["homeo", files.v, files.chain2,
                                      "--random", "50", "--seed", "7",

@@ -104,6 +104,15 @@ def test_load_point_schema_errors(tmp_path, doc):
         load_point(dump(tmp_path, "pt.json", doc), chain(2), chain(1), stage=2)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_load_point_rejects_non_finite_reals(tmp_path, bad):
+    # json.dumps writes these as the non-standard tokens NaN / Infinity /
+    # -Infinity, which json.load accepts back
+    p = dump(tmp_path, "pt.json", {"base": ["1", "1"], "reals": [0.0, bad]})
+    with pytest.raises(FormatError, match="finite"):
+        load_point(p, chain(2), chain(1), stage=2)
+
+
 def test_load_point_unknown_target_id(tmp_path):
     p = dump(tmp_path, "pt.json", {"base": ["1", "9"], "reals": [0.0, 1.0]})
     with pytest.raises(UnknownElement):

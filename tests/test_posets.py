@@ -1,4 +1,8 @@
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -158,5 +162,18 @@ def test_random_poset_is_deterministic_and_valid():
 
 def test_strict_leq_matrix_is_read_only():
     P = chain(2)
-    with pytest.raises(ValueError):
-        P.strict_leq[0, 1] = False
+    assert P.strict_leq == ((False, True), (False, False))
+    with pytest.raises(TypeError):
+        P.strict_leq[0][1] = False
+    assert isinstance(P.succ_masks, tuple)
+    assert isinstance(P.pred_masks, tuple)
+
+
+def test_import_does_not_load_numpy():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import ordhom, sys; sys.exit('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
