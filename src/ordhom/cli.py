@@ -21,12 +21,9 @@ from .fileio import file_digest, load_point, load_poset, point_to_dict
 from .homeo import LexHomPoint, backward, forward
 from .homs import STRICT, WEAK, count_homs, enumerate_homs
 from .orderpoly import check_stanley_reciprocity, evaluate, order_polynomial
-from .posets import LexPoset, admissible_numbering
+from .posets import LexPoset
 
 ROUNDTRIP_TOLERANCE = 1e-9
-# forward's slope near the domain boundary is 2**(i+1); keeping samples at
-# least this far above every lower bound keeps round-trip error analyzable
-SAMPLE_MARGIN = 2.0 ** -40
 _EXIT = {"ok": 0, "theorem-violated": 2, "error": 1}
 
 
@@ -143,38 +140,6 @@ def cmd_euler_reciprocity(args):
     return inputs, result, status
 
 
-def _constrained_pairs(P, values):
-    """Numbering-position pairs (a, b) whose reals must strictly increase."""
-    order = admissible_numbering(P).order
-    n = len(order)
-    return [(a, b)
-            for b in range(n) for a in range(b)
-            if values[order[a]] == values[order[b]] and P.less(order[a], order[b])]
-
-
-def _random_strict_points(P, Q, count, rng):
-    """Seeded points of the strict space, kept SAMPLE_MARGIN above every
-    lower bound by rejection."""
-    bases = list(enumerate_homs(P, Q, WEAK))
-    if not bases and count > 0:
-        raise OrdhomError("no weakly monotone base maps exist for this pair")
-    n = len(P)
-    points = []
-    for _ in range(count):
-        base = bases[rng.randrange(len(bases))]
-        pairs = _constrained_pairs(P, base.values)
-        for _attempt in range(10000):
-            reals = [rng.uniform(-10.0, 10.0) for _ in range(n)]
-            if all(reals[b] - reals[a] >= SAMPLE_MARGIN for a, b in pairs):
-                break
-        else:
-            raise OrdhomError(
-                "could not sample a strictly monotone point; the pair forces "
-                "long coordinate chains, supply a point file instead")
-        points.append(LexHomPoint(base, tuple(reals), max(n, 1)))
-    return points
-
-
 def _random_free_points(P, Q, count, rng):
     """Seeded stage-1 points: random weak base, unconstrained reals."""
     bases = list(enumerate_homs(P, Q, WEAK))
@@ -203,11 +168,10 @@ def cmd_homeo(args):
     else:
         if args.random < 0:
             raise UsageError("--random expects a nonnegative count")
-        rng = random.Random(args.seed)
-        if args.direction == "backward":
-            points = _random_free_points(P, Q, args.random, rng)
-        else:
-            points = _random_strict_points(P, Q, args.random, rng)
+        points = _random_free_points(P, Q, args.random, random.Random(args.seed))
+        if args.direction != "backward":
+            # backward carries every free point into the strict space
+            points = [backward(P, Q, x) for x in points]
 
     result = {"direction": args.direction, "points": len(points)}
     if args.seed is not None and args.random is not None:

@@ -61,38 +61,43 @@ class OrderedSetPartition:
     blocks: tuple
 
 
+def _down_steps(preds, remaining: int):
+    """Yield every nonempty down-set of the subposet induced on
+    ``remaining``: each subset holding every still-remaining strict
+    predecessor of each of its members, in increasing mask order. These are
+    the possible next blocks of an ordered set partition of ``remaining``.
+    """
+    s = 0
+    while True:
+        s = (s - remaining) & remaining
+        if s == 0:
+            return
+        rest = remaining & ~s
+        m = s
+        while m:
+            if preds[(m & -m).bit_length() - 1] & rest:
+                break
+            m &= m - 1
+        else:
+            yield s
+
+
 def _iter_partitions(preds, universe: int):
     """Yield ordered set partitions of ``universe`` (tuples of block masks)
     in which no element lies below a member of an earlier block.
 
-    Blocks are chosen left to right; a valid next block is any nonempty
-    down-set of the remaining induced subposet, i.e. a subset containing
-    every still-remaining strict predecessor of each of its members.
+    Blocks are chosen left to right, each one a step of `_down_steps` from
+    what the earlier blocks leave.
     """
 
-    def rec(remaining, acc):
+    def rec(remaining, blocks):
         if remaining == 0:
-            yield tuple(acc)
+            yield blocks
             return
-        s = 0
-        while True:
-            s = (s - remaining) & remaining
-            if s == 0:
-                return
-            ok = True
-            m = s
-            while m:
-                i = (m & -m).bit_length() - 1
-                if preds[i] & remaining & ~s:
-                    ok = False
-                    break
-                m &= m - 1
-            if ok:
-                acc.append(s)
-                yield from rec(remaining & ~s, acc)
-                acc.pop()
+        for s in _down_steps(preds, remaining):
+            yield from rec(remaining & ~s, blocks + (s,))
 
-    yield from rec(universe, [])
+    yield from rec(universe, ())
 
 
 def compatible_preorders(P: FinitePoset):
@@ -133,33 +138,20 @@ def _euler_real(preds, k: int, mode: str) -> int:
     if k == 0:
         result = 1 if mode == WEAK or not any(preds) else 0
     else:
-        total = 0
-
-        def rec(remaining, sign, prod):
-            nonlocal total
+        def strata(remaining):
+            # signed sum over the ordered set partitions of ``remaining``:
+            # a block s contributes -f(s), f the Euler characteristic of
+            # its subposet's maps into the remaining k-1 coordinates
             if remaining == 0:
-                total += sign * prod
-                return
-            s = 0
-            while True:
-                s = (s - remaining) & remaining
-                if s == 0:
-                    return
-                ok = True
-                m = s
-                while m:
-                    i = (m & -m).bit_length() - 1
-                    if preds[i] & remaining & ~s:
-                        ok = False
-                        break
-                    m &= m - 1
-                if ok:
-                    f = _euler_real(_restrict_preds(preds, s), k - 1, mode)
-                    if f:
-                        rec(remaining & ~s, -sign, prod * f)
+                return 1
+            total = 0
+            for s in _down_steps(preds, remaining):
+                f = _euler_real(_restrict_preds(preds, s), k - 1, mode)
+                if f:
+                    total -= f * strata(remaining & ~s)
+            return total
 
-        rec((1 << n) - 1, 1, 1)
-        result = total
+        result = strata((1 << n) - 1)
     _MEMO[key] = result
     return result
 

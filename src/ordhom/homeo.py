@@ -207,8 +207,6 @@ def backward_trace(P: FinitePoset, Q: FinitePoset, point: LexHomPoint):
         trace.append(LexHomPoint(point.base, tuple(reals), k + 1))
     if not trace:
         trace.append(LexHomPoint(point.base, tuple(reals), max(n, 1)))
-    out = trace[-1]
-    assert membership(P, Q, out, n), "stage maps failed to land in the strict space"
     return trace
 
 

@@ -1,9 +1,13 @@
 """Exhaustive enumeration of monotone maps between finite posets.
 
 This is the brute-force oracle the rest of the library is checked against:
-a plain backtracking search with no closed-form shortcuts. Elements are
-assigned along the admissible numbering, so every order constraint against
-already-assigned elements can be applied the moment a value is proposed.
+a plain backtracking search with no closed-form shortcuts. One search,
+`_leaf_masks`, serves both public entry points. It assigns the elements
+along the admissible numbering, so every order constraint against
+already-assigned elements narrows a candidate mask the moment an element
+comes up. At the last position it hands back that element's whole mask of
+allowed values instead of branching on each one: `iter_hom_values` expands
+the mask in ascending bit order, and `count_homs` adds up its popcount.
 """
 
 from __future__ import annotations
@@ -43,15 +47,45 @@ def _check_mode(mode: str):
         raise ValueError(f"mode must be {STRICT!r} or {WEAK!r}, got {mode!r}")
 
 
-def _search_tables(P: FinitePoset, Q: FinitePoset, mode: str):
-    """Assignment order plus, per target value, the bitmask of values allowed
-    strictly (or weakly) above it."""
-    qn = len(Q)
+def _leaf_masks(P: FinitePoset, Q: FinitePoset, mode: str, values: list):
+    """Depth-first search over the monotone maps P -> Q, for nonempty P.
+
+    For every assignment of all but the last element of the admissible
+    numbering that extends to a map, the assignment is left in ``values``
+    (indexed by source element) and the nonempty bitmask of the values the
+    last element may take is yielded. Assignments come in lexicographic
+    order of the values read along the numbering.
+    """
     if mode == WEAK:
-        allow = [Q.succ_masks[w] | (1 << w) for w in range(qn)]
+        allow = [s | (1 << w) for w, s in enumerate(Q.succ_masks)]
     else:
-        allow = list(Q.succ_masks)
-    return admissible_numbering(P).order, allow
+        allow = Q.succ_masks
+    order = admissible_numbering(P).order
+    full = (1 << len(Q)) - 1
+    pred = P.pred_masks
+    last = len(order) - 1
+    todo = [0] * last   # per position before the last: values not yet tried
+    a = 0
+    while True:
+        mask = full
+        m = pred[order[a]]
+        while m and mask:
+            mask &= allow[values[(m & -m).bit_length() - 1]]
+            m &= m - 1
+        if a == last:
+            if mask:
+                yield mask
+            a -= 1
+        else:
+            todo[a] = mask
+        while a >= 0 and not todo[a]:
+            a -= 1
+        if a < 0:
+            return
+        bit = todo[a] & -todo[a]
+        todo[a] ^= bit
+        values[order[a]] = bit.bit_length() - 1
+        a += 1
 
 
 def iter_hom_values(P: FinitePoset, Q: FinitePoset, mode: str):
@@ -65,31 +99,14 @@ def iter_hom_values(P: FinitePoset, Q: FinitePoset, mode: str):
     if n == 0:
         yield ()
         return
-    if len(Q) == 0:
-        return
-    order, allow = _search_tables(P, Q, mode)
-    full = (1 << len(Q)) - 1
-    pred = P.pred_masks
     values = [0] * n
-
-    def rec(a):
-        if a == n:
-            yield tuple(values)
-            return
-        e = order[a]
-        mask = full
-        m = pred[e]
-        while m and mask:
-            i = (m & -m).bit_length() - 1
-            mask &= allow[values[i]]
-            m &= m - 1
+    last = admissible_numbering(P).order[-1]
+    for mask in _leaf_masks(P, Q, mode, values):
         while mask:
             bit = mask & -mask
-            values[e] = bit.bit_length() - 1
-            yield from rec(a + 1)
+            values[last] = bit.bit_length() - 1
+            yield tuple(values)
             mask ^= bit
-
-    yield from rec(0)
 
 
 def enumerate_homs(P: FinitePoset, Q: FinitePoset, mode: str):
@@ -106,35 +123,9 @@ def enumerate_homs(P: FinitePoset, Q: FinitePoset, mode: str):
 
 
 def count_homs(P: FinitePoset, Q: FinitePoset, mode: str) -> int:
-    """Number of monotone maps P -> Q, via the same backtracker as
-    `enumerate_homs` but without materializing maps."""
+    """Number of monotone maps P -> Q, via the same search as
+    `enumerate_homs`, summing the popcounts of its last-position masks."""
     _check_mode(mode)
-    n = len(P)
-    if n == 0:
+    if len(P) == 0:
         return 1
-    if len(Q) == 0:
-        return 0
-    order, allow = _search_tables(P, Q, mode)
-    full = (1 << len(Q)) - 1
-    pred = P.pred_masks
-    values = [0] * n
-
-    def rec(a):
-        if a == n:
-            return 1
-        e = order[a]
-        mask = full
-        m = pred[e]
-        while m and mask:
-            i = (m & -m).bit_length() - 1
-            mask &= allow[values[i]]
-            m &= m - 1
-        total = 0
-        while mask:
-            bit = mask & -mask
-            values[e] = bit.bit_length() - 1
-            total += rec(a + 1)
-            mask ^= bit
-        return total
-
-    return rec(0)
+    return sum(mask.bit_count() for mask in _leaf_masks(P, Q, mode, [0] * len(P)))

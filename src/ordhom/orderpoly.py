@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotTotallyOrdered
+from .errors import NotTotallyOrdered, OrdhomError
 from .homs import STRICT, WEAK, count_homs
 from .posets import FinitePoset, LexPoset, chain, euler_char
 
@@ -161,9 +161,11 @@ def euler_via_orderpoly(P: FinitePoset, Q: LexPoset, mode: str) -> int:
 
     Raises:
         NotTotallyOrdered: the base of Q is not a chain.
+        OrdhomError: the value is not an integer (a wrong polynomial).
     """
     if not Q.base.is_chain():
         raise NotTotallyOrdered("lex base must be totally ordered")
     value = evaluate(order_polynomial(P, mode), euler_char(Q))
-    assert value.denominator == 1, "order polynomial not integer-valued"
+    if value.denominator != 1:
+        raise OrdhomError(f"order polynomial value {value} is not an integer")
     return int(value)

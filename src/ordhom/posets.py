@@ -45,7 +45,8 @@ class FinitePoset:
             ``elements[i] < elements[j]`` strictly.
     """
 
-    __slots__ = ("elements", "covers", "_index", "pred_masks", "succ_masks")
+    __slots__ = ("elements", "covers", "_index", "pred_masks", "succ_masks",
+                 "_numbering")
 
     def __init__(self, elements, covers, succ_masks):
         self.elements = tuple(elements)
@@ -57,6 +58,7 @@ class FinitePoset:
             for j in _mask_bits(s):
                 pred[j] |= 1 << i
         self.pred_masks = tuple(pred)
+        self._numbering = None   # filled in by admissible_numbering
 
     @property
     def strict_leq(self) -> tuple:
@@ -187,7 +189,10 @@ def admissible_numbering(P: FinitePoset) -> Numbering:
     """Linear extension by repeated removal of minimal elements.
 
     Ties are broken by input element order, so the result is deterministic.
+    It is computed once per poset and kept on it.
     """
+    if P._numbering is not None:
+        return P._numbering
     n = len(P)
     remaining = (1 << n) - 1
     pred = P.pred_masks
@@ -198,7 +203,8 @@ def admissible_numbering(P: FinitePoset) -> Numbering:
                 order.append(i)
                 remaining &= ~(1 << i)
                 break
-    return Numbering(tuple(order))
+    P._numbering = Numbering(tuple(order))
+    return P._numbering
 
 
 @dataclass(frozen=True)

@@ -225,6 +225,19 @@ def test_homeo_roundtrip_random(capsys, files):
     assert res["max_error"] <= res["tolerance"] == 1e-9
 
 
+def test_homeo_roundtrip_random_on_long_forced_chain(capsys, files):
+    # every base map into one point forces all ten reals into one chain
+    chain10 = files.write("chain10.json", {
+        "elements": [str(i) for i in range(1, 11)],
+        "covers": [[str(i), str(i + 1)] for i in range(1, 10)]})
+    code, rep, _ = run_json(capsys, ["homeo", chain10, files.chain1,
+                                     "--random", "5", "--seed", "1",
+                                     "--direction", "roundtrip"])
+    assert code == 0
+    assert rep["result"]["points"] == 5
+    assert rep["result"]["within_tolerance"] is True
+
+
 def test_homeo_usage_errors(capsys, files):
     pt = files.write("pt.json", {"base": ["1", "1"], "reals": [0.0, 1.0]})
     for argv in (

@@ -18,9 +18,11 @@ from ordhom import (
     enumerate_homs,
     forward,
     forward_trace,
+    iter_hom_values,
     lemma_phi,
     lemma_phi_inv,
     membership,
+    random_poset,
     usc_spec,
     usc_value,
 )
@@ -258,6 +260,19 @@ def test_backward_lands_in_strict_space():
             assert membership(P, Q, out, len(P))
             assert strictly_monotone_into_lex(P, Q, out)
             assert out.base.values == base.values
+
+
+@pytest.mark.parametrize("n, edge_prob", [(12, 0.3), (10, 0.2)])
+def test_backward_lands_in_strict_space_at_cli_sizes(n, edge_prob):
+    Q = chain(3)
+    for seed in range(3):
+        P = random_poset(n, seed, edge_prob)
+        bases = list(iter_hom_values(P, Q, WEAK))
+        rng = random.Random(seed)
+        for _ in range(50):
+            base = MonotoneMap(P, Q, bases[rng.randrange(len(bases))], WEAK)
+            pt = LexHomPoint(base, tuple(rng.uniform(-10, 10) for _ in range(n)), 1)
+            assert membership(P, Q, backward(P, Q, pt), n)
 
 
 def test_forward_is_increasing_in_last_coordinate():

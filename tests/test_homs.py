@@ -5,12 +5,14 @@ import pytest
 from ordhom import (
     STRICT,
     WEAK,
+    admissible_numbering,
     antichain,
     build_poset,
     chain,
     count_homs,
     enumerate_homs,
     iter_hom_values,
+    random_poset,
 )
 
 from _corpus import small_posets
@@ -46,6 +48,21 @@ def test_matches_naive_filter_exhaustively():
                 assert set(got) == expected
                 assert len(got) == len(expected)
                 assert count_homs(P, Q, mode) == len(expected)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_count_and_iter_match_naive_on_seeded_posets(n):
+    fork = build_poset("abc", [("a", "b"), ("a", "c")])
+    for seed in range(4):
+        P = random_poset(n, seed, 0.3 + 0.1 * seed)
+        for Q in (chain(3), fork, antichain(2)):
+            for mode in (STRICT, WEAK):
+                expected = naive_maps(P, Q, mode)
+                got = list(iter_hom_values(P, Q, mode))
+                assert count_homs(P, Q, mode) == len(got) == len(expected)
+                # lexicographic along the admissible numbering
+                order = admissible_numbering(P).order
+                assert got == sorted(expected, key=lambda v: [v[i] for i in order])
 
 
 def test_known_counts():

@@ -8,6 +8,7 @@ from ordhom import (
     LexPoset,
     NotTotallyOrdered,
     OrderPolynomial,
+    OrdhomError,
     antichain,
     build_poset,
     chain,
@@ -116,3 +117,11 @@ def test_euler_via_orderpoly_matches_stratification():
                 for mode in (STRICT, WEAK):
                     Q = LexPoset(chain(m), k)
                     assert euler_via_orderpoly(P, Q, mode) == euler_hom(P, Q, mode)
+
+
+def test_euler_via_orderpoly_rejects_non_integer_value(monkeypatch):
+    import ordhom.orderpoly as orderpoly
+
+    monkeypatch.setattr(orderpoly, "evaluate", lambda poly, t: Fraction(1, 2))
+    with pytest.raises(OrdhomError, match="not an integer"):
+        euler_via_orderpoly(chain(2), LexPoset(chain(2), 1), WEAK)

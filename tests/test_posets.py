@@ -126,6 +126,16 @@ def test_admissible_numbering_tie_break_is_input_order():
     assert admissible_numbering(V).order == (0, 1, 2)
 
 
+def test_admissible_numbering_is_computed_once_per_poset():
+    P = build_poset(["b", "a", "c"], [("a", "b")])
+    fresh = build_poset(["b", "a", "c"], [("a", "b")])
+    first = admissible_numbering(P)
+    assert admissible_numbering(P) is first
+    # the kept numbering takes no part in equality or hashing
+    assert P == fresh and hash(P) == hash(fresh)
+    assert admissible_numbering(fresh) == first
+
+
 def test_lex_poset_negation_and_euler():
     Q = LexPoset(chain(3), 0)
     assert euler_char(Q) == 3
