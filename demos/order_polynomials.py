@@ -28,7 +28,7 @@ def describe(name, P):
     print(f"  strict : {strict}")
 
     # the polynomial value at n is the number of monotone maps into a
-    # chain with n elements, including n past the interpolation range
+    # chain with n elements, including n past the degree of the polynomial
     for n in (1, 2, 6):
         assert evaluate(weak, n) == count_homs(P, chain(n), WEAK)
         assert evaluate(strict, n) == count_homs(P, chain(n), STRICT)

@@ -19,7 +19,7 @@ from .errors import DepthUnsupported, OrdhomError
 from .euler import check_euler_reciprocity, count_components, euler_hom
 from .fileio import file_digest, load_point, load_poset, point_to_dict
 from .homeo import LexHomPoint, backward, forward
-from .homs import STRICT, WEAK, count_homs, enumerate_homs
+from .homs import STRICT, WEAK, MonotoneMap, count_homs, iter_hom_values
 from .orderpoly import check_stanley_reciprocity, evaluate, order_polynomial
 from .posets import LexPoset
 
@@ -55,11 +55,12 @@ def _yesno(flag: bool) -> str:
 def cmd_homcount(args):
     P, _ = _poset_arg(args.P, "source")
     Q, _ = _poset_arg(args.Q, "target")
-    count = count_homs(P, Q, args.mode)
-    result = {"mode": args.mode, "count": count}
     if args.list:
-        result["maps"] = [[Q.elements[v] for v in m.values]
-                          for m in enumerate_homs(P, Q, args.mode)]
+        maps = [[Q.elements[v] for v in values]
+                for values in iter_hom_values(P, Q, args.mode)]
+        result = {"mode": args.mode, "count": len(maps), "maps": maps}
+    else:
+        result = {"mode": args.mode, "count": count_homs(P, Q, args.mode)}
     inputs = {"P": _digest_entry(args.P), "Q": _digest_entry(args.Q)}
     return inputs, result, "ok"
 
@@ -142,11 +143,11 @@ def cmd_euler_reciprocity(args):
 
 def _random_free_points(P, Q, count, rng):
     """Seeded stage-1 points: random weak base, unconstrained reals."""
-    bases = list(enumerate_homs(P, Q, WEAK))
+    bases = list(iter_hom_values(P, Q, WEAK))
     if not bases and count > 0:
         raise OrdhomError("no weakly monotone base maps exist for this pair")
     n = len(P)
-    return [LexHomPoint(bases[rng.randrange(len(bases))],
+    return [LexHomPoint(MonotoneMap(P, Q, bases[rng.randrange(len(bases))], WEAK),
                         tuple(rng.uniform(-10.0, 10.0) for _ in range(n)), 1)
             for _ in range(count)]
 

@@ -20,16 +20,31 @@ here. Strict monotonicity needs no extra filtering: a block containing a
 comparable pair forces the recursion's k = 0 base case to report an empty
 stratum unless some later coordinate separates the pair.
 
-The recursion revisits identical subposets heavily and is memoized on the
-renumbered predecessor masks. Memo access is a single dict get/set of an
-idempotent value, which is safe under CPython's GIL; no other shared state
-exists.
+Down-set chains, one engine for three results: an ordered set partition
+whose blocks come in value order is a chain of down-sets
+0 < I_1 < ... < I_j = P. Give each block the Euler characteristic of its
+maps into R^k as a weight, and let e_j sum, over the chains with j blocks,
+the product of the block weights (`_chain_sums`). Then
+sum_j e_j C(m, j) counts into chain(m) x R^k (j of the m base values are
+hit, in order), and C(-1, j) = (-1)**j turns the same sum into the Euler
+characteristic of the maps into R^(k+1). So `order_polynomial` reads the
+k = 0 vector in the binomial basis, `_euler_real` evaluates it at -1 for
+the next depth, and `euler_hom` reads it at m = |Q0| when Q0 is a chain.
+Non-chain bases keep the fiber sum over weak base maps.
+
+Memos: `_chain_sums` memoizes its vector on the remaining up-set within one
+call. `_euler_real` keeps the Euler characteristic of each subposet it has
+met in the module-level `_MEMO`, keyed on the renumbered predecessor masks,
+depth and mode, and it grows across calls. Memo access is a single dict
+get/set of an idempotent value, which is safe under CPython's GIL; no other
+shared state exists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import comb
 
 from .errors import DepthUnsupported
 from .homs import STRICT, WEAK, _check_mode, count_homs, iter_hom_values
@@ -124,34 +139,106 @@ def _restrict_preds(preds, mask: int):
     return tuple(out)
 
 
+def _has_comparable_pair(preds, mask: int) -> bool:
+    m = mask
+    while m:
+        i = (m & -m).bit_length() - 1
+        if preds[i] & mask:
+            return True
+        m &= m - 1
+    return False
+
+
+def _chain_sums(preds, k: int, mode: str, top: int, steps=None) -> list:
+    """The vector (e_0, ..., e_top) of the poset given by ``preds``, cut
+    off at its size n when top > n.
+
+    e_j sums, over the chains of down-sets 0 < I_1 < ... < I_j = P, the
+    product of the weights of the blocks I_i minus I_(i-1). The weight of a
+    block is the Euler characteristic of its maps into R^k: for k = 0, 1 in
+    weak mode and in strict mode 1 exactly when the block is an antichain.
+
+    The vector of each remaining up-set is computed once, up to the most
+    blocks its chains may have: top for the whole poset, top - 1 below it.
+    An up-set allowed one block is not walked, its vector is its weight; so
+    top = 0 or 1 walks nothing at depth k, and top = 2 walks only the whole
+    poset's down-steps, taking the same weights as the fiber sum.
+
+    For k >= 1 the whole poset is a block too, and its weight runs this
+    walk one depth lower on the same ``preds``; ``steps`` keeps each
+    up-set's down-steps for that run, so no up-set is walked twice.
+    """
+    n = len(preds)
+    full = (1 << n) - 1
+    top = min(top, n)
+    if k and steps is None:
+        steps = {}
+    weights = {}
+    memo = {0: [1]}
+
+    def weight(s):
+        w = weights.get(s)
+        if w is None:
+            if k == 0:
+                w = 1 if mode == WEAK or not _has_comparable_pair(preds, s) else 0
+            elif s == full:
+                w = _euler_real(preds, k, mode, steps)
+            else:
+                w = _euler_real(_restrict_preds(preds, s), k, mode)
+            weights[s] = w
+        return w
+
+    def down_steps(remaining):
+        if steps is None:
+            return _down_steps(preds, remaining)
+        hit = steps.get(remaining)
+        if hit is None:
+            hit = steps[remaining] = tuple(_down_steps(preds, remaining))
+        return hit
+
+    def rec(remaining):
+        hit = memo.get(remaining)
+        if hit is not None:
+            return hit
+        # below the first block a chain has at most top - 1 blocks left
+        b = min(top if remaining == full else top - 1, remaining.bit_count())
+        if b <= 1:
+            out = [0, weight(remaining)] if b else [0]
+        else:
+            out = [0] * (b + 1)
+            for s in down_steps(remaining):
+                w = weight(s)
+                if w:
+                    sub = rec(remaining & ~s)
+                    for j in range(min(len(sub), b)):
+                        out[j + 1] += w * sub[j]
+        memo[remaining] = out
+        return out
+
+    return rec(full)
+
+
 _MEMO = {}
 
 
-def _euler_real(preds, k: int, mode: str) -> int:
+def _euler_real(preds, k: int, mode: str, steps=None) -> int:
     """Euler characteristic of the monotone maps of the poset given by
-    ``preds`` into R^k with lexicographic order."""
+    ``preds`` into R^k with lexicographic order.
+
+    The strata of the first coordinate are the chains of down-sets: one
+    with j blocks is an open cell R^j, times the maps of its blocks into
+    the other k-1 coordinates. So the result is the alternating sum of
+    `_chain_sums` at depth k-1, which ``steps`` is passed on to.
+    """
     key = (preds, k, mode)
     hit = _MEMO.get(key)
     if hit is not None:
         return hit
-    n = len(preds)
     if k == 0:
         result = 1 if mode == WEAK or not any(preds) else 0
     else:
-        def strata(remaining):
-            # signed sum over the ordered set partitions of ``remaining``:
-            # a block s contributes -f(s), f the Euler characteristic of
-            # its subposet's maps into the remaining k-1 coordinates
-            if remaining == 0:
-                return 1
-            total = 0
-            for s in _down_steps(preds, remaining):
-                f = _euler_real(_restrict_preds(preds, s), k - 1, mode)
-                if f:
-                    total -= f * strata(remaining & ~s)
-            return total
-
-        result = strata((1 << n) - 1)
+        e = _chain_sums(preds, k - 1, mode, len(preds), steps)
+        result = sum(-c if j & 1 else c for j, c in enumerate(e))
     _MEMO[key] = result
     return result
 
@@ -173,23 +260,37 @@ def _fiber_masks(values):
     return fibers
 
 
-def euler_hom(P: FinitePoset, Q: LexPoset, mode: str) -> int:
-    """Euler characteristic of the monotone maps from P into the lex
-    product Q, by fiber splitting over weakly monotone base maps."""
-    _check_mode(mode)
-    base, k = Q.base, Q.depth
+def _fiber_sum(P: FinitePoset, Q: LexPoset, mode: str) -> int:
+    """`euler_hom` by fiber splitting over the weakly monotone base maps,
+    for any base."""
     preds = P.pred_masks
     total = 0
-    for values in iter_hom_values(P, base, WEAK):
+    for values in iter_hom_values(P, Q.base, WEAK):
         prod = 1
         for mask in _fiber_masks(values).values():
-            f = _euler_real(_restrict_preds(preds, mask), k, mode)
+            f = _euler_real(_restrict_preds(preds, mask), Q.depth, mode)
             if f == 0:
                 prod = 0
                 break
             prod *= f
         total += prod
     return total
+
+
+def euler_hom(P: FinitePoset, Q: LexPoset, mode: str) -> int:
+    """Euler characteristic of the monotone maps from P into the lex
+    product Q.
+
+    For a chain base of m elements this is sum_j e_j C(m, j) over the
+    down-set chains of P (`_chain_sums`); other bases take the fiber sum
+    over weakly monotone base maps.
+    """
+    _check_mode(mode)
+    if not Q.base.is_chain():
+        return _fiber_sum(P, Q, mode)
+    m = len(Q.base)
+    e = _chain_sums(P.pred_masks, Q.depth, mode, m)
+    return sum(c * comb(m, j) for j, c in enumerate(e))
 
 
 @dataclass(frozen=True)
@@ -241,16 +342,6 @@ class _UnionFind:
 
     def union(self, a, b):
         self.parent[self.find(b)] = self.find(a)
-
-
-def _has_comparable_pair(preds, mask: int) -> bool:
-    m = mask
-    while m:
-        i = (m & -m).bit_length() - 1
-        if preds[i] & mask:
-            return True
-        m &= m - 1
-    return False
 
 
 def count_components(P: FinitePoset, Q: LexPoset, mode: str) -> int:

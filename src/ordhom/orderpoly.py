@@ -1,21 +1,29 @@
 """Exact order polynomials and their reciprocity.
 
 For a finite poset P, the strict (weak) order polynomial is the unique
-polynomial of degree at most |P| whose value at each positive integer n is
-the number of strict (weak) monotone maps from P into the n-chain. It is
-pinned down by the counts at n = 1, ..., |P|+1 and recovered here by
-Lagrange interpolation over exact rationals. Floating point never enters
-this module: reciprocity is an identity between coefficient arrays.
+polynomial of degree at most |P| whose value at each positive integer t is
+the number of strict (weak) monotone maps from P into the t-chain. Such a
+map is a chain of j nonempty down-sets of P, the fibers in value order,
+placed on j of the t values: C(t, j) ways. So the polynomial is
+sum_j e_j C(t, j), where e_j counts those chains (in strict mode, those
+whose blocks are antichains). `euler._chain_sums` computes the e_j, and
+they are converted here to power-basis coefficients over exact rationals.
+Floating point never enters this module: reciprocity is an identity
+between coefficient arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .errors import NotTotallyOrdered, OrdhomError
-from .homs import STRICT, WEAK, count_homs
-from .posets import FinitePoset, LexPoset, chain, euler_char
+from .euler import _chain_sums
+from .homs import STRICT, WEAK, _check_mode
+# `chain` is not used here; bench/test_bench.py checks that the tracer
+# wraps it on this module, so the name stays bound
+from .posets import FinitePoset, LexPoset, chain, euler_char  # noqa: F401
 
 __all__ = [
     "OrderPolynomial",
@@ -75,39 +83,28 @@ def _trim(coeffs):
     return tuple(coeffs)
 
 
-def _lagrange(xs, ys):
-    """Coefficients of the unique degree < len(xs) polynomial through the
-    given points, over exact rationals."""
-    m = len(xs)
-    coeffs = [Fraction(0)] * m
-    for i in range(m):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(m):
-            if j == i:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for d, c in enumerate(basis):
-                new[d + 1] += c
-                new[d] -= c * xs[j]
-            basis = new
-            denom *= xs[i] - xs[j]
-        scale = Fraction(ys[i], 1) / denom
-        for d, c in enumerate(basis):
-            coeffs[d] += c * scale
-    return coeffs
-
-
 def order_polynomial(P: FinitePoset, mode: str) -> OrderPolynomial:
-    """Interpolate the order polynomial of P from monotone-map counts.
+    """The order polynomial of P, sum_j e_j C(t, j) over the chains of
+    down-sets of P, expanded exactly in the power basis.
 
-    Uses the counts into the chains [1], ..., [|P|+1], the smallest node set
-    that determines a polynomial of degree at most |P|.
+    C(t, j) is the falling factorial t (t-1) ... (t-j+1) over j!; all terms
+    are put over the common denominator |P|!.
     """
+    _check_mode(mode)
     n = len(P)
-    xs = list(range(1, n + 2))
-    ys = [count_homs(P, chain(x), mode) for x in xs]
-    return OrderPolynomial(_trim(_lagrange(xs, ys)), mode, n)
+    e = _chain_sums(P.pred_masks, 0, mode, n)
+    denom = factorial(n)
+    numer = [0] * (n + 1)
+    falling = [1]   # coefficients of t (t-1) ... (t-j+1), constant first
+    for j, c in enumerate(e):
+        if j:
+            falling = [0] + falling
+            for d in range(j):
+                falling[d] -= (j - 1) * falling[d + 1]
+        scale = c * (denom // factorial(j))
+        for d, f in enumerate(falling):
+            numer[d] += scale * f
+    return OrderPolynomial(_trim(Fraction(x, denom) for x in numer), mode, n)
 
 
 def evaluate(poly: OrderPolynomial, t) -> Fraction:

@@ -301,3 +301,39 @@ def test_json_error_report(capsys, files, tmp_path):
     assert code == 1
     rep = json.loads(out)
     assert rep["status"] == "error" and "error" in rep["result"]
+
+
+def _old_random_free_points(P, Q, count, rng):
+    """The draw before it kept raw value tuples: a list of every weak base
+    map as a `MonotoneMap`, then the same seeded calls."""
+    from ordhom import enumerate_homs
+    from ordhom.homeo import LexHomPoint
+
+    bases = list(enumerate_homs(P, Q, "weak"))
+    return [LexHomPoint(bases[rng.randrange(len(bases))],
+                        tuple(rng.uniform(-10.0, 10.0) for _ in range(len(P))), 1)
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_random_free_points_match_list_of_maps_draw(seed):
+    import random
+
+    from ordhom import chain, random_poset
+
+    P, Q = random_poset(9, seed, 0.3), chain(3)
+    got = cli._random_free_points(P, Q, 40, random.Random(seed))
+    want = _old_random_free_points(P, Q, 40, random.Random(seed))
+    assert got == want
+
+
+def test_homcount_list_runs_one_search(capsys, files, monkeypatch):
+    def no_count(*args):
+        raise AssertionError("count_homs called with --list")
+
+    monkeypatch.setattr(cli, "count_homs", no_count)
+    code, rep, _ = run_json(
+        capsys, ["homcount", files.v, files.chain2, "--mode", "weak", "--list"])
+    assert code == 0
+    assert list(rep["result"]) == ["mode", "count", "maps"]
+    assert rep["result"]["count"] == len(rep["result"]["maps"]) == 5

@@ -21,6 +21,7 @@ from ordhom import (
     evaluate,
     negate,
     order_polynomial,
+    random_poset,
 )
 
 from _corpus import random_posets, small_posets
@@ -255,3 +256,127 @@ def test_strata_are_realizable_points():
                             tuple(sorted(i for i in fib if coords[i] == lv))
                             for lv in levels)
                         assert rebuilt == chosen[v]
+
+
+def test_chain_base_matches_fiber_sum():
+    # the down-set chain read-out against the sum over weak base maps
+    import ordhom.euler as euler
+
+    posets = (list(small_posets(3)) + random_posets(4, 6, seed=4)
+              + random_posets(5, 6, seed=5) + random_posets(6, 6, seed=6))
+    for P in posets:
+        for m in range(5):
+            for k in range(3):
+                Q = LexPoset(chain(m), k)
+                for mode in (STRICT, WEAK):
+                    assert euler_hom(P, Q, mode) == euler._fiber_sum(P, Q, mode)
+
+
+def test_chain_base_edge_cases():
+    for mode in (STRICT, WEAK):
+        for k in range(3):
+            # no maps from a nonempty poset into an empty base, one from
+            # the empty poset into anything
+            assert euler_hom(antichain(1), LexPoset(chain(0), k), mode) == 0
+            assert euler_hom(chain(0), LexPoset(chain(0), k), mode) == 1
+            assert euler_hom(chain(0), LexPoset(chain(3), k), mode) == 1
+            for m in range(4):
+                Q = LexPoset(chain(m), k)
+                assert euler_hom(antichain(1), Q, mode) == euler_char(Q)
+
+
+def _count_down_step_walks(monkeypatch):
+    import collections
+
+    import ordhom.euler as euler
+
+    walks = collections.Counter()
+    down_steps = euler._down_steps
+
+    def counting(preds, remaining):
+        walks[preds, remaining] += 1
+        return down_steps(preds, remaining)
+
+    monkeypatch.setattr(euler, "_down_steps", counting)
+    monkeypatch.setattr(euler, "_MEMO", {})
+    return walks
+
+
+@pytest.mark.parametrize("mode", [STRICT, WEAK])
+@pytest.mark.parametrize("P", [antichain(6), random_poset(8, 8, 0.3)],
+                         ids=["antichain6", "random8"])
+def test_no_up_set_walked_twice(monkeypatch, P, mode):
+    walks = _count_down_step_walks(monkeypatch)
+    euler_hom_real(P, 2, mode)
+    assert walks and max(walks.values()) == 1
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_small_chain_bases_walk_no_more_than_fiber_sum(monkeypatch, m):
+    # chains of at most m blocks: no more down-step walks than the fiber
+    # sum over the maps into chain(m) makes (none at all for m = 0)
+    import ordhom.euler as euler
+
+    P, Q = random_poset(8, 3, 0.2), LexPoset(chain(m), 2)
+    walks = _count_down_step_walks(monkeypatch)
+    for mode in (STRICT, WEAK):
+        euler._MEMO.clear()
+        walks.clear()
+        got = euler_hom(P, Q, mode)
+        engine = walks.total()
+        euler._MEMO.clear()
+        walks.clear()
+        assert got == euler._fiber_sum(P, Q, mode)
+        assert engine <= walks.total()
+
+
+def real_oracle(P, idx, k, mode, memo):
+    """Euler characteristic of the maps of P restricted to ``idx`` into R^k,
+    by the alternating sum over the first coordinate's strata, each an
+    ordered set partition from `compatible_oracle`."""
+    key = (idx, k)
+    if key not in memo:
+        if k == 0:
+            memo[key] = int(mode == WEAK or not any(
+                P.less(i, j) for i in idx for j in idx))
+        else:
+            total = 0
+            for part in compatible_oracle(P, idx):
+                term = (-1) ** len(part)
+                for blk in part:
+                    term *= real_oracle(P, blk, k - 1, mode, memo)
+                total += term
+            memo[key] = total
+    return memo[key]
+
+
+def chain_base_oracle(P, m, k, mode, memo):
+    """Sum over the weakly monotone maps into chain(m), found by filtering
+    all assignments, of the product of the fibers' `real_oracle` values."""
+    n = len(P)
+    total = 0
+    for vals in itertools.product(range(m), repeat=n):
+        if any(P.less(i, j) and vals[i] > vals[j]
+               for i in range(n) for j in range(n)):
+            continue
+        term = 1
+        for v in set(vals):
+            term *= real_oracle(P, tuple(i for i in range(n) if vals[i] == v),
+                                k, mode, memo)
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_engine_matches_partition_oracle(n):
+    # the oracle sums over explicit ordered set partitions and weak maps,
+    # sharing no code with the down-set-chain sums
+    for P in random_posets(n, 4, seed=10 + n) + [antichain(n)]:
+        for mode in (STRICT, WEAK):
+            memo = {}
+            for k in (1, 2):
+                assert euler_hom_real(P, k, mode) == real_oracle(
+                    P, tuple(range(n)), k, mode, memo)
+                for m in range(4):
+                    got = euler_hom(P, LexPoset(chain(m), k), mode)
+                    assert got == chain_base_oracle(P, m, k, mode, memo)

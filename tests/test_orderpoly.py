@@ -125,3 +125,35 @@ def test_euler_via_orderpoly_rejects_non_integer_value(monkeypatch):
     monkeypatch.setattr(orderpoly, "evaluate", lambda poly, t: Fraction(1, 2))
     with pytest.raises(OrdhomError, match="not an integer"):
         euler_via_orderpoly(chain(2), LexPoset(chain(2), 1), WEAK)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_down_set_chains_match_map_counts(n):
+    # the polynomial comes from down-set chains alone; count_homs is the
+    # independent oracle, past the degree too
+    for P in random_posets(n, 10, seed=n):
+        for mode in (STRICT, WEAK):
+            poly = order_polynomial(P, mode)
+            assert all(isinstance(c, Fraction) for c in poly.coefficients)
+            for t in range(1, n + 4):
+                assert evaluate(poly, t) == count_homs(P, chain(t), mode)
+
+
+def test_order_polynomial_edge_cases():
+    for mode in (STRICT, WEAK):
+        empty = order_polynomial(chain(0), mode)
+        assert empty.coefficients == (Fraction(1),) and empty.degree == 0
+        point = order_polynomial(antichain(1), mode)
+        assert point.coefficients == (Fraction(0), Fraction(1))
+        assert evaluate(point, 0) == count_homs(antichain(1), chain(0), mode) == 0
+        assert evaluate(empty, 0) == count_homs(chain(0), chain(0), mode) == 1
+
+
+def test_order_polynomial_does_not_search_maps(monkeypatch):
+    import ordhom.homs as homs
+
+    def no_search(*args):
+        raise AssertionError("map search called")
+
+    monkeypatch.setattr(homs, "_leaf_masks", no_search)
+    assert str(order_polynomial(V, WEAK)) == "1/3*t^3 + 1/2*t^2 + 1/6*t"
