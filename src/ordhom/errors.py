@@ -19,7 +19,9 @@ class NotTotallyOrdered(OrdhomError):
 
 
 class DepthUnsupported(OrdhomError):
-    """Component counting is only implemented for lex depth <= 1."""
+    """A lex depth the operation does not handle: component counting past
+    depth 1, ``--components`` at a depth other than 1, or a poset file with
+    nonzero depth where a plain poset is needed."""
 
 
 class MembershipError(OrdhomError):

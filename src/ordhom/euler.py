@@ -43,7 +43,6 @@ shared state exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import comb
 
 from .errors import DepthUnsupported
@@ -97,29 +96,23 @@ def _down_steps(preds, remaining: int):
             yield s
 
 
-def _iter_partitions(preds, universe: int):
-    """Yield ordered set partitions of ``universe`` (tuples of block masks)
-    in which no element lies below a member of an earlier block.
+def compatible_preorders(P: FinitePoset):
+    """All ordered set partitions of P's indices whose block order respects
+    P: a strictly smaller element never sits in a strictly later block.
 
     Blocks are chosen left to right, each one a step of `_down_steps` from
     what the earlier blocks leave.
     """
+    preds = P.pred_masks
 
     def rec(remaining, blocks):
         if remaining == 0:
-            yield blocks
+            yield OrderedSetPartition(blocks)
             return
         for s in _down_steps(preds, remaining):
-            yield from rec(remaining & ~s, blocks + (s,))
+            yield from rec(remaining & ~s, blocks + (tuple(_mask_bits(s)),))
 
-    yield from rec(universe, ())
-
-
-def compatible_preorders(P: FinitePoset):
-    """All ordered set partitions of P's indices whose block order respects
-    P: a strictly smaller element never sits in a strictly later block."""
-    for blocks in _iter_partitions(P.pred_masks, (1 << len(P)) - 1):
-        yield OrderedSetPartition(tuple(tuple(_mask_bits(b)) for b in blocks))
+    yield from rec((1 << len(P)) - 1, ())
 
 
 def _restrict_preds(preds, mask: int):
@@ -229,6 +222,10 @@ def _euler_real(preds, k: int, mode: str, steps=None) -> int:
     with j blocks is an open cell R^j, times the maps of its blocks into
     the other k-1 coordinates. So the result is the alternating sum of
     `_chain_sums` at depth k-1, which ``steps`` is passed on to.
+
+    That sum weighs the whole poset at depth k-1, so the depths below k
+    missing from `_MEMO` are filled first, in ascending order: each then
+    finds the one below it there, and the call stack does not grow with k.
     """
     key = (preds, k, mode)
     hit = _MEMO.get(key)
@@ -237,6 +234,14 @@ def _euler_real(preds, k: int, mode: str, steps=None) -> int:
     if k == 0:
         result = 1 if mode == WEAK or not any(preds) else 0
     else:
+        if k > 1:
+            if steps is None:
+                steps = {}
+            low = k - 1
+            while low > 1 and (preds, low, mode) not in _MEMO:
+                low -= 1
+            for d in range(low, k):
+                _euler_real(preds, d, mode, steps)
         e = _chain_sums(preds, k - 1, mode, len(preds), steps)
         result = sum(-c if j & 1 else c for j, c in enumerate(e))
     _MEMO[key] = result
@@ -252,22 +257,17 @@ def euler_hom_real(P: FinitePoset, k: int, mode: str) -> int:
     return _euler_real(tuple(P.pred_masks), k, mode)
 
 
-def _fiber_masks(values):
-    """Group source indices by their target value; masks keyed by value."""
-    fibers = {}
-    for i, v in enumerate(values):
-        fibers[v] = fibers.get(v, 0) | (1 << i)
-    return fibers
-
-
 def _fiber_sum(P: FinitePoset, Q: LexPoset, mode: str) -> int:
     """`euler_hom` by fiber splitting over the weakly monotone base maps,
     for any base."""
     preds = P.pred_masks
     total = 0
     for values in iter_hom_values(P, Q.base, WEAK):
+        fibers = {}
+        for i, v in enumerate(values):
+            fibers[v] = fibers.get(v, 0) | (1 << i)
         prod = 1
-        for mask in _fiber_masks(values).values():
+        for mask in fibers.values():
             f = _euler_real(_restrict_preds(preds, mask), Q.depth, mode)
             if f == 0:
                 prod = 0
@@ -325,67 +325,19 @@ def check_euler_reciprocity(P: FinitePoset, Q: LexPoset):
     return first, second
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def add(self, x):
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        self.parent[self.find(b)] = self.find(a)
-
-
 def count_components(P: FinitePoset, Q: LexPoset, mode: str) -> int:
     """Number of connected components of the monotone maps P -> Q, for lex
     depth at most 1.
 
-    At depth 1 the space is a disjoint union, over weakly monotone base
-    maps, of per-fiber real strata. Two strata are glued exactly when one
-    degenerates onto the other by letting adjacent blocks of a fiber's
-    value pattern collide, provided the merged pattern still satisfies the
-    mode's constraints; components are counted by union-find over these
-    degenerations. This exists to exhibit connectivity obstructions, not as
-    a general-purpose tool.
+    At depth 0 the space is finite and discrete. At depth 1 it splits into
+    one clopen piece per weakly monotone base map P -> Q0. Over a fixed base
+    map the reals form a convex cone, cut out by t_x <= t_y (weak) or
+    t_x < t_y (strict) for x < y in the same fiber, and it is nonempty in
+    either mode (number the fiber along a linear extension). So each piece
+    is connected and the components are the weak base maps. Deeper targets
+    raise DepthUnsupported.
     """
     _check_mode(mode)
     if Q.depth > 1:
         raise DepthUnsupported("component counting supports depth <= 1")
-    if Q.depth == 0:
-        return count_homs(P, Q.base, mode)
-    preds = P.pred_masks
-    total = 0
-    for values in iter_hom_values(P, Q.base, WEAK):
-        masks = [m for _, m in sorted(_fiber_masks(values).items())]
-        pattern_lists = []
-        pattern_index = []
-        for mask in masks:
-            pats = [pat for pat in _iter_partitions(preds, mask)
-                    if mode == WEAK
-                    or not any(_has_comparable_pair(preds, b) for b in pat)]
-            pattern_lists.append(pats)
-            pattern_index.append({pat: i for i, pat in enumerate(pats)})
-        uf = _UnionFind()
-        nodes = list(product(*[range(len(pl)) for pl in pattern_lists]))
-        for node in nodes:
-            uf.add(node)
-        for node in nodes:
-            for f, pi in enumerate(node):
-                pat = pattern_lists[f][pi]
-                for t in range(len(pat) - 1):
-                    merged = pat[t] | pat[t + 1]
-                    if mode == STRICT and _has_comparable_pair(preds, merged):
-                        continue
-                    coarser = pat[:t] + (merged,) + pat[t + 2:]
-                    other = node[:f] + (pattern_index[f][coarser],) + node[f + 1:]
-                    uf.union(node, other)
-        total += len({uf.find(node) for node in nodes})
-    return total
+    return count_homs(P, Q.base, mode if Q.depth == 0 else WEAK)

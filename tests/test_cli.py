@@ -129,6 +129,17 @@ def test_negative_depth_flag(capsys, files):
     assert code == 1
 
 
+def test_euler_at_large_depth(capsys, files, monkeypatch):
+    # the weak maps of chain(2) into chain(1) x R^1000: no RecursionError
+    import ordhom.euler as euler
+
+    monkeypatch.setattr(euler, "_MEMO", {})
+    code, out, _ = run(
+        capsys, ["euler", files.chain2, files.chain1, "--depth", "1000", "--mode", "weak"])
+    assert code == 0
+    assert out == "euler characteristic (weak, depth 1000): 1\n"
+
+
 def test_euler_reciprocity_ok(capsys, files):
     code, out, _ = run(capsys, ["euler-reciprocity", files.chain2, files.chain2,
                                 "--depth", "1"])

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from ordhom import (
     euler_char,
     euler_hom,
     euler_hom_real,
+    euler_via_orderpoly,
     evaluate,
     negate,
     order_polynomial,
@@ -104,30 +106,75 @@ def test_euler_hom_real_matches_order_polynomial():
                 assert euler_hom_real(P, k, mode) == expected
 
 
+def weak_base_maps(P, Q0):
+    """Weakly monotone maps P -> Q0 as value tuples, by filtering all
+    assignments."""
+    n = len(P)
+    for vals in itertools.product(range(len(Q0)), repeat=n):
+        if not any(P.less(i, j) and vals[i] != vals[j]
+                   and not Q0.less(vals[i], vals[j])
+                   for i in range(n) for j in range(n)):
+            yield vals
+
+
+@functools.lru_cache(maxsize=None)
+def strata_of_fiber(P, fib, mode):
+    """The strata of one fiber at lex depth 1: its compatible ordered
+    partitions, in strict mode only those with no comparable pair inside a
+    block."""
+    pats = []
+    for part in compatible_oracle(P, fib):
+        if mode == STRICT:
+            pos = {x: b for b, blk in enumerate(part) for x in blk}
+            if any(P.less(i, j) and pos[i] == pos[j] for i in fib for j in fib):
+                continue
+        pats.append(part)
+    return tuple(pats)
+
+
+def fiber_strata(P, vals, mode):
+    """`strata_of_fiber` for each fiber of ``vals``."""
+    fibers = {}
+    for i, v in enumerate(vals):
+        fibers.setdefault(v, []).append(i)
+    return [strata_of_fiber(P, tuple(fib), mode) for fib in fibers.values()]
+
+
 def naive_euler_depth1(P, Q0, mode):
     """Alternating-sum oracle over explicit strata at lex depth 1."""
-    n, m = len(P), len(Q0)
     total = 0
-    for vals in itertools.product(range(m), repeat=n):
-        if any(P.less(i, j) and vals[i] != vals[j] and not Q0.less(vals[i], vals[j])
-               for i in range(n) for j in range(n)):
-            continue
-        fibers = {}
-        for i, v in enumerate(vals):
-            fibers.setdefault(v, []).append(i)
-        choices = []
-        for fib in fibers.values():
-            pats = []
-            for part in compatible_oracle(P, fib):
-                if mode == STRICT:
-                    pos = {x: b for b, blk in enumerate(part) for x in blk}
-                    if any(P.less(i, j) and pos[i] == pos[j]
-                           for i in fib for j in fib):
-                        continue
-                pats.append(part)
-            choices.append(pats)
-        for combo in itertools.product(*choices):
+    for vals in weak_base_maps(P, Q0):
+        for combo in itertools.product(*fiber_strata(P, vals, mode)):
             total += (-1) ** sum(len(p) for p in combo)
+    return total
+
+
+def union_find_components(P, Q0, mode):
+    """Components of the maps P -> Q0 x R by union-find over explicit
+    strata: a stratum is glued to each stratum it degenerates onto when two
+    adjacent blocks of one fiber's partition collide, if that coarser
+    partition is a stratum too."""
+    total = 0
+    for vals in weak_base_maps(P, Q0):
+        choices = fiber_strata(P, vals, mode)
+        allowed = [set(pats) for pats in choices]
+        nodes = list(itertools.product(*choices))
+        parent = {node: node for node in nodes}
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        for node in nodes:
+            for f, pat in enumerate(node):
+                for t in range(len(pat) - 1):
+                    merged = tuple(sorted(pat[t] + pat[t + 1]))
+                    coarser = pat[:t] + (merged,) + pat[t + 2:]
+                    if coarser in allowed[f]:
+                        other = node[:f] + (coarser,) + node[f + 1:]
+                        parent[find(other)] = find(node)
+        total += len({find(node) for node in nodes})
     return total
 
 
@@ -145,6 +192,18 @@ def test_euler_hom_depth_zero_is_counting():
         for Q0 in (chain(2), V):
             for mode in (STRICT, WEAK):
                 assert euler_hom(P, LexPoset(Q0, 0), mode) == count_homs(P, Q0, mode)
+
+
+@pytest.mark.parametrize("mode", [STRICT, WEAK])
+def test_large_depth_does_not_recurse_per_depth(monkeypatch, mode):
+    import ordhom.euler as euler
+
+    monkeypatch.setattr(euler, "_MEMO", {})
+    Q = LexPoset(chain(1), 1000)
+    expected = euler_via_orderpoly(chain(2), Q, mode)
+    assert euler_hom_real(chain(2), 1000, mode) == expected
+    euler._MEMO.clear()
+    assert euler_hom(chain(2), Q, mode) == expected
 
 
 def test_euler_hom_known_values():
@@ -211,6 +270,15 @@ def test_count_components_equals_weak_base_count():
             for mode in (STRICT, WEAK):
                 got = count_components(P, LexPoset(Q0, 1), mode)
                 assert got == count_homs(P, Q0, WEAK)
+
+
+def test_count_components_matches_union_find_oracle():
+    # one component per weak base map, against gluing the explicit strata
+    for P in small_posets(4):
+        for Q0 in (chain(1), chain(2), antichain(2), V):
+            for mode in (STRICT, WEAK):
+                got = count_components(P, LexPoset(Q0, 1), mode)
+                assert got == union_find_components(P, Q0, mode)
 
 
 def sample_stratum(pattern_by_fiber):
@@ -350,15 +418,12 @@ def real_oracle(P, idx, k, mode, memo):
     return memo[key]
 
 
-def chain_base_oracle(P, m, k, mode, memo):
-    """Sum over the weakly monotone maps into chain(m), found by filtering
-    all assignments, of the product of the fibers' `real_oracle` values."""
+def base_oracle(P, Q0, k, mode, memo):
+    """Sum over the `weak_base_maps` into Q0 of the product of the fibers'
+    `real_oracle` values."""
     n = len(P)
     total = 0
-    for vals in itertools.product(range(m), repeat=n):
-        if any(P.less(i, j) and vals[i] > vals[j]
-               for i in range(n) for j in range(n)):
-            continue
+    for vals in weak_base_maps(P, Q0):
         term = 1
         for v in set(vals):
             term *= real_oracle(P, tuple(i for i in range(n) if vals[i] == v),
@@ -370,13 +435,14 @@ def chain_base_oracle(P, m, k, mode, memo):
 @pytest.mark.parametrize("n", [5, 6])
 def test_engine_matches_partition_oracle(n):
     # the oracle sums over explicit ordered set partitions and weak maps,
-    # sharing no code with the down-set-chain sums
+    # sharing no code with the down-set-chain sums or the fiber sum
+    bases = [chain(m) for m in range(4)] + [V, antichain(2)]
     for P in random_posets(n, 4, seed=10 + n) + [antichain(n)]:
         for mode in (STRICT, WEAK):
             memo = {}
             for k in (1, 2):
                 assert euler_hom_real(P, k, mode) == real_oracle(
                     P, tuple(range(n)), k, mode, memo)
-                for m in range(4):
-                    got = euler_hom(P, LexPoset(chain(m), k), mode)
-                    assert got == chain_base_oracle(P, m, k, mode, memo)
+                for Q0 in bases:
+                    got = euler_hom(P, LexPoset(Q0, k), mode)
+                    assert got == base_oracle(P, Q0, k, mode, memo)
