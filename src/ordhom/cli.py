@@ -3,14 +3,15 @@ library's computations, print a human-readable or JSON report.
 
 Exit codes: 0 when the command succeeds (and any checked identity holds),
 2 when a checking command finds its identity violated, 1 on operational
-errors (unreadable files, schema violations, unsupported flags). Report
-schemas are documented in FORMATS.md.
+errors (unreadable files, schema violations, unsupported flags, an output
+pipe closed early). Report schemas are documented in FORMATS.md.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -319,7 +320,7 @@ def _emit_error(command, json_out, exc):
     return 1
 
 
-def main(argv=None) -> int:
+def _run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -338,6 +339,20 @@ def main(argv=None) -> int:
     else:
         _render(args.command, report)
     return _EXIT[status]
+
+
+def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early (``| head``): point stdout at
+        # devnull so that the interpreter's last flush does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

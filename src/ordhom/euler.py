@@ -9,35 +9,44 @@ its fibers, a monotone map of the fiber subposet into R^k. Distinct base
 maps give disjoint clopen pieces, so Euler characteristics add over base
 maps and multiply over fibers.
 
-Real part, one coordinate at a time: maps of a finite poset F into R are
-stratified by the ordered set partition recording which elements share a
-value and how the values are ordered. A stratum with b blocks is an open
-cell homeomorphic to R^b, contributing (-1)**b. Nonempty strata are exactly
-the partitions compatible with F (no element below a member of an earlier
-block), and within each block the remaining k-1 lex coordinates must again
-form a monotone map of the block subposet, giving the recursion computed
-here. Strict monotonicity needs no extra filtering: a block containing a
-comparable pair forces the recursion's k = 0 base case to report an empty
-stratum unless some later coordinate separates the pair.
+Real part, in closed form. Let chi_k(B) be the Euler characteristic of the
+monotone maps of a block B into R^k, in a given mode.
+- Strata. The maps of B into R are stratified by the chain of down-sets
+  0 < I_1 < ... < I_j = B that their value levels cut out. The stratum of
+  a chain with j blocks is an open cell R^j times, for each block, the maps
+  of the block into the other k-1 coordinates. So chi_k(B) is the
+  alternating sum over these chains of the product of chi_(k-1) of their
+  blocks.
+- Depth 0. There is one map to a point: it is monotone in weak mode, and
+  in strict mode exactly when B is an antichain.
+- Depth 1. The maps form a convex cone in R^|B|. In weak mode it is the
+  closed cone t_x <= t_y for x < y. A closed cone that is not a subspace
+  has Euler characteristic 0: it is a subspace times a pointed cone, which
+  is its apex plus an open ray times a compact ball, 1 - 1. This cone is a
+  subspace, R^|B|, exactly when B is an antichain. In strict mode it is a
+  nonempty open cone of dimension |B|, homeomorphic to R^|B|. So chi_1(B)
+  is (-1)**|B| times chi_0(B) of the other mode.
+- Period 2. With chi_0 as block weights, the strata sum is the order
+  polynomial of B at t = -1. With chi_1 as weights, the block signs of
+  each chain multiply to (-1)**|B|, and the sum is (-1)**|B| times the
+  other mode's order polynomial at -1, which Stanley reciprocity turns
+  into chi_0(B). So chi_2 = chi_0, and by induction chi_k = chi_(k mod 2):
+  at even k, 1 in weak mode and in strict mode 1 exactly for an antichain;
+  at odd k, (-1)**|B| times the even value of the other mode
+  (`_real_weight`).
 
-Down-set chains, one engine for three results: an ordered set partition
+Down-set chains, one engine for two results: an ordered set partition
 whose blocks come in value order is a chain of down-sets
-0 < I_1 < ... < I_j = P. Give each block the Euler characteristic of its
-maps into R^k as a weight, and let e_j sum, over the chains with j blocks,
-the product of the block weights (`_chain_sums`). Then
-sum_j e_j C(m, j) counts into chain(m) x R^k (j of the m base values are
-hit, in order), and C(-1, j) = (-1)**j turns the same sum into the Euler
-characteristic of the maps into R^(k+1). So `order_polynomial` reads the
-k = 0 vector in the binomial basis, `_euler_real` evaluates it at -1 for
-the next depth, and `euler_hom` reads it at m = |Q0| when Q0 is a chain.
-Non-chain bases keep the fiber sum over weak base maps.
+0 < I_1 < ... < I_j = P. Let e_j count the chains with j blocks, in strict
+mode only those whose blocks are antichains (`_chain_sums`). Then
+sum_j e_j C(m, j) counts the maps into chain(m) (j of the m values are
+hit, in order). So `order_polynomial` reads the vector in the binomial
+basis, and `euler_hom` reads it at m = |Q0| when Q0 is a chain: at odd
+depth the fibers' weights are the other mode's times signs that multiply
+to (-1)**|P|. Non-chain bases keep the fiber sum over weak base maps.
 
 Memos: `_chain_sums` memoizes its vector on the remaining up-set within one
-call. `_euler_real` keeps the Euler characteristic of each subposet it has
-met in the module-level `_MEMO`, keyed on the renumbered predecessor masks,
-depth and mode, and it grows across calls. Memo access is a single dict
-get/set of an idempotent value, which is safe under CPython's GIL; no other
-shared state exists.
+call. The module keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -115,23 +124,6 @@ def compatible_preorders(P: FinitePoset):
     yield from rec((1 << len(P)) - 1, ())
 
 
-def _restrict_preds(preds, mask: int):
-    """Predecessor masks of the induced subposet on ``mask``, renumbered to
-    0..m-1 in ascending index order (the memo key for that subposet)."""
-    idx = _mask_bits(mask)
-    pos = {i: a for a, i in enumerate(idx)}
-    out = []
-    for i in idx:
-        pm = preds[i] & mask
-        new = 0
-        while pm:
-            j = (pm & -pm).bit_length() - 1
-            new |= 1 << pos[j]
-            pm &= pm - 1
-        out.append(new)
-    return tuple(out)
-
-
 def _has_comparable_pair(preds, mask: int) -> bool:
     m = mask
     while m:
@@ -142,52 +134,46 @@ def _has_comparable_pair(preds, mask: int) -> bool:
     return False
 
 
-def _chain_sums(preds, k: int, mode: str, top: int, steps=None) -> list:
+def _to_depth_zero(n: int, k: int, mode: str):
+    """(sign, mode') with chi_k = sign * chi_0 in mode' for n elements:
+    at odd k the other mode and (-1)**n (module docstring)."""
+    if k & 1:
+        return (-1) ** n, WEAK if mode == STRICT else STRICT
+    return 1, mode
+
+
+def _real_weight(preds, mask: int, k: int, mode: str) -> int:
+    """Euler characteristic of the monotone maps of the block ``mask`` of
+    the poset given by ``preds`` into R^k with lexicographic order."""
+    sign, mode = _to_depth_zero(mask.bit_count(), k, mode)
+    return sign if mode == WEAK or not _has_comparable_pair(preds, mask) else 0
+
+
+def _chain_sums(preds, mode: str, top: int) -> list:
     """The vector (e_0, ..., e_top) of the poset given by ``preds``, cut
     off at its size n when top > n.
 
     e_j sums, over the chains of down-sets 0 < I_1 < ... < I_j = P, the
-    product of the weights of the blocks I_i minus I_(i-1). The weight of a
-    block is the Euler characteristic of its maps into R^k: for k = 0, 1 in
-    weak mode and in strict mode 1 exactly when the block is an antichain.
+    product of the depth-0 weights of the blocks I_i minus I_(i-1): 1 in
+    weak mode, and in strict mode 1 exactly when the block is an antichain.
 
     The vector of each remaining up-set is computed once, up to the most
     blocks its chains may have: top for the whole poset, top - 1 below it.
     An up-set allowed one block is not walked, its vector is its weight; so
-    top = 0 or 1 walks nothing at depth k, and top = 2 walks only the whole
-    poset's down-steps, taking the same weights as the fiber sum.
-
-    For k >= 1 the whole poset is a block too, and its weight runs this
-    walk one depth lower on the same ``preds``; ``steps`` keeps each
-    up-set's down-steps for that run, so no up-set is walked twice.
+    top = 0 or 1 walks nothing, and top = 2 walks only the whole poset's
+    down-steps.
     """
     n = len(preds)
     full = (1 << n) - 1
     top = min(top, n)
-    if k and steps is None:
-        steps = {}
     weights = {}
     memo = {0: [1]}
 
     def weight(s):
         w = weights.get(s)
         if w is None:
-            if k == 0:
-                w = 1 if mode == WEAK or not _has_comparable_pair(preds, s) else 0
-            elif s == full:
-                w = _euler_real(preds, k, mode, steps)
-            else:
-                w = _euler_real(_restrict_preds(preds, s), k, mode)
-            weights[s] = w
+            w = weights[s] = _real_weight(preds, s, 0, mode)
         return w
-
-    def down_steps(remaining):
-        if steps is None:
-            return _down_steps(preds, remaining)
-        hit = steps.get(remaining)
-        if hit is None:
-            hit = steps[remaining] = tuple(_down_steps(preds, remaining))
-        return hit
 
     def rec(remaining):
         hit = memo.get(remaining)
@@ -199,7 +185,7 @@ def _chain_sums(preds, k: int, mode: str, top: int, steps=None) -> list:
             out = [0, weight(remaining)] if b else [0]
         else:
             out = [0] * (b + 1)
-            for s in down_steps(remaining):
+            for s in _down_steps(preds, remaining):
                 w = weight(s)
                 if w:
                     sub = rec(remaining & ~s)
@@ -211,50 +197,13 @@ def _chain_sums(preds, k: int, mode: str, top: int, steps=None) -> list:
     return rec(full)
 
 
-_MEMO = {}
-
-
-def _euler_real(preds, k: int, mode: str, steps=None) -> int:
-    """Euler characteristic of the monotone maps of the poset given by
-    ``preds`` into R^k with lexicographic order.
-
-    The strata of the first coordinate are the chains of down-sets: one
-    with j blocks is an open cell R^j, times the maps of its blocks into
-    the other k-1 coordinates. So the result is the alternating sum of
-    `_chain_sums` at depth k-1, which ``steps`` is passed on to.
-
-    That sum weighs the whole poset at depth k-1, so the depths below k
-    missing from `_MEMO` are filled first, in ascending order: each then
-    finds the one below it there, and the call stack does not grow with k.
-    """
-    key = (preds, k, mode)
-    hit = _MEMO.get(key)
-    if hit is not None:
-        return hit
-    if k == 0:
-        result = 1 if mode == WEAK or not any(preds) else 0
-    else:
-        if k > 1:
-            if steps is None:
-                steps = {}
-            low = k - 1
-            while low > 1 and (preds, low, mode) not in _MEMO:
-                low -= 1
-            for d in range(low, k):
-                _euler_real(preds, d, mode, steps)
-        e = _chain_sums(preds, k - 1, mode, len(preds), steps)
-        result = sum(-c if j & 1 else c for j, c in enumerate(e))
-    _MEMO[key] = result
-    return result
-
-
 def euler_hom_real(P: FinitePoset, k: int, mode: str) -> int:
     """Euler characteristic of the strict or weak monotone maps P -> R^k
     (lexicographic order, k real coordinates)."""
     _check_mode(mode)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return _euler_real(tuple(P.pred_masks), k, mode)
+    return _real_weight(P.pred_masks, (1 << len(P)) - 1, k, mode)
 
 
 def _fiber_sum(P: FinitePoset, Q: LexPoset, mode: str) -> int:
@@ -268,11 +217,9 @@ def _fiber_sum(P: FinitePoset, Q: LexPoset, mode: str) -> int:
             fibers[v] = fibers.get(v, 0) | (1 << i)
         prod = 1
         for mask in fibers.values():
-            f = _euler_real(_restrict_preds(preds, mask), Q.depth, mode)
-            if f == 0:
-                prod = 0
+            prod *= _real_weight(preds, mask, Q.depth, mode)
+            if not prod:
                 break
-            prod *= f
         total += prod
     return total
 
@@ -282,15 +229,17 @@ def euler_hom(P: FinitePoset, Q: LexPoset, mode: str) -> int:
     product Q.
 
     For a chain base of m elements this is sum_j e_j C(m, j) over the
-    down-set chains of P (`_chain_sums`); other bases take the fiber sum
-    over weakly monotone base maps.
+    down-set chains of P (`_chain_sums`), at odd depth in the other mode
+    and times (-1)**|P|; other bases take the fiber sum over weakly
+    monotone base maps.
     """
     _check_mode(mode)
     if not Q.base.is_chain():
         return _fiber_sum(P, Q, mode)
     m = len(Q.base)
-    e = _chain_sums(P.pred_masks, Q.depth, mode, m)
-    return sum(c * comb(m, j) for j, c in enumerate(e))
+    sign, mode = _to_depth_zero(len(P), Q.depth, mode)
+    e = _chain_sums(P.pred_masks, mode, m)
+    return sign * sum(c * comb(m, j) for j, c in enumerate(e))
 
 
 @dataclass(frozen=True)

@@ -92,7 +92,7 @@ def order_polynomial(P: FinitePoset, mode: str) -> OrderPolynomial:
     """
     _check_mode(mode)
     n = len(P)
-    e = _chain_sums(P.pred_masks, 0, mode, n)
+    e = _chain_sums(P.pred_masks, mode, n)
     denom = factorial(n)
     numer = [0] * (n + 1)
     falling = [1]   # coefficients of t (t-1) ... (t-j+1), constant first

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -129,15 +133,32 @@ def test_negative_depth_flag(capsys, files):
     assert code == 1
 
 
-def test_euler_at_large_depth(capsys, files, monkeypatch):
-    # the weak maps of chain(2) into chain(1) x R^1000: no RecursionError
-    import ordhom.euler as euler
+def test_euler_at_large_depth(capsys, files):
+    # the weak maps of chain(2) into chain(1) x R^depth: no RecursionError
+    for depth, value in ((1000, 1), (10**9 + 1, 0)):
+        code, out, _ = run(capsys, ["euler", files.chain2, files.chain1,
+                                    "--depth", str(depth), "--mode", "weak"])
+        assert code == 0
+        assert out == f"euler characteristic (weak, depth {depth}): {value}\n"
 
-    monkeypatch.setattr(euler, "_MEMO", {})
-    code, out, _ = run(
-        capsys, ["euler", files.chain2, files.chain1, "--depth", "1000", "--mode", "weak"])
-    assert code == 0
-    assert out == "euler characteristic (weak, depth 1000): 1\n"
+
+def test_closed_output_pipe_gives_no_traceback(files):
+    # the reader of the JSON report is gone before the report is written,
+    # as when ``| head`` has read its lines and exited
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ordhom.cli", "euler", files.chain2, files.chain1,
+             "--depth", "1000", "--mode", "weak", "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
 
 
 def test_euler_reciprocity_ok(capsys, files):

@@ -195,15 +195,12 @@ def test_euler_hom_depth_zero_is_counting():
 
 
 @pytest.mark.parametrize("mode", [STRICT, WEAK])
-def test_large_depth_does_not_recurse_per_depth(monkeypatch, mode):
-    import ordhom.euler as euler
-
-    monkeypatch.setattr(euler, "_MEMO", {})
-    Q = LexPoset(chain(1), 1000)
-    expected = euler_via_orderpoly(chain(2), Q, mode)
-    assert euler_hom_real(chain(2), 1000, mode) == expected
-    euler._MEMO.clear()
-    assert euler_hom(chain(2), Q, mode) == expected
+def test_large_depth_does_not_recurse_per_depth(mode):
+    for depth in (1000, 10**9 + 1):
+        Q = LexPoset(chain(1), depth)
+        expected = euler_via_orderpoly(chain(2), Q, mode)
+        assert euler_hom_real(chain(2), depth, mode) == expected
+        assert euler_hom(chain(2), Q, mode) == expected
 
 
 def test_euler_hom_known_values():
@@ -366,7 +363,6 @@ def _count_down_step_walks(monkeypatch):
         return down_steps(preds, remaining)
 
     monkeypatch.setattr(euler, "_down_steps", counting)
-    monkeypatch.setattr(euler, "_MEMO", {})
     return walks
 
 
@@ -375,27 +371,51 @@ def _count_down_step_walks(monkeypatch):
                          ids=["antichain6", "random8"])
 def test_no_up_set_walked_twice(monkeypatch, P, mode):
     walks = _count_down_step_walks(monkeypatch)
+    # the closed form reads the maps into R^k off the poset, walking nothing
     euler_hom_real(P, 2, mode)
+    assert not walks
+    euler_hom(P, LexPoset(chain(4), 2), mode)
     assert walks and max(walks.values()) == 1
+
+
+def _count_yields(monkeypatch, name):
+    """Count what the generator ``euler.<name>`` yields, over all calls."""
+    import ordhom.euler as euler
+
+    count = [0]
+    gen = getattr(euler, name)
+
+    def counting(*args):
+        for x in gen(*args):
+            count[0] += 1
+            yield x
+
+    monkeypatch.setattr(euler, name, counting)
+    return count
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_small_chain_bases_walk_no_more_than_fiber_sum(monkeypatch, m):
-    # chains of at most m blocks: no more down-step walks than the fiber
-    # sum over the maps into chain(m) makes (none at all for m = 0)
+    # chains of at most m blocks: the engine walks only the whole poset's
+    # down-steps, and only for m = 2; it yields no more down-sets than the
+    # fiber sum enumerates base maps into chain(m), and the fiber sum's
+    # closed-form fiber weights walk nothing
     import ordhom.euler as euler
 
     P, Q = random_poset(8, 3, 0.2), LexPoset(chain(m), 2)
     walks = _count_down_step_walks(monkeypatch)
+    down_sets = _count_yields(monkeypatch, "_down_steps")
+    base_maps = _count_yields(monkeypatch, "iter_hom_values")
     for mode in (STRICT, WEAK):
-        euler._MEMO.clear()
         walks.clear()
+        down_sets[0] = base_maps[0] = 0
         got = euler_hom(P, Q, mode)
-        engine = walks.total()
-        euler._MEMO.clear()
+        assert walks.total() == (m == 2) and base_maps[0] == 0
+        engine = down_sets[0]
         walks.clear()
+        down_sets[0] = 0
         assert got == euler._fiber_sum(P, Q, mode)
-        assert engine <= walks.total()
+        assert not walks and engine <= base_maps[0]
 
 
 def real_oracle(P, idx, k, mode, memo):
@@ -432,17 +452,42 @@ def base_oracle(P, Q0, k, mode, memo):
     return total
 
 
+ORACLE_BASES = [chain(m) for m in range(4)] + [V, antichain(2)]
+
+
+def check_engine_against_oracle(P, depths):
+    """`euler_hom_real` and `euler_hom` into `ORACLE_BASES` at each depth,
+    both modes, against the partition oracle; returns the oracle's
+    `base_oracle` values keyed by (base index, depth, mode)."""
+    idx = tuple(range(len(P)))
+    values = {}
+    for mode in (STRICT, WEAK):
+        memo = {}
+        for k in depths:
+            assert euler_hom_real(P, k, mode) == real_oracle(P, idx, k, mode, memo)
+            for b, Q0 in enumerate(ORACLE_BASES):
+                want = values[b, k, mode] = base_oracle(P, Q0, k, mode, memo)
+                assert euler_hom(P, LexPoset(Q0, k), mode) == want
+    return values
+
+
 @pytest.mark.parametrize("n", [5, 6])
 def test_engine_matches_partition_oracle(n):
     # the oracle sums over explicit ordered set partitions and weak maps,
     # sharing no code with the down-set-chain sums or the fiber sum
-    bases = [chain(m) for m in range(4)] + [V, antichain(2)]
     for P in random_posets(n, 4, seed=10 + n) + [antichain(n)]:
-        for mode in (STRICT, WEAK):
-            memo = {}
-            for k in (1, 2):
-                assert euler_hom_real(P, k, mode) == real_oracle(
-                    P, tuple(range(n)), k, mode, memo)
-                for Q0 in bases:
-                    got = euler_hom(P, LexPoset(Q0, k), mode)
-                    assert got == base_oracle(P, Q0, k, mode, memo)
+        check_engine_against_oracle(P, (1, 2))
+
+
+def test_engine_matches_partition_oracle_small():
+    # every poset on at most 4 elements, depths 0-4; the oracle itself must
+    # satisfy the paper's two reciprocity identities between depths k and
+    # k + 1, which the library's closed form builds in
+    depths = range(5)
+    for P in small_posets(4):
+        values = check_engine_against_oracle(P, depths)
+        sign = (-1) ** len(P)
+        for b in range(len(ORACLE_BASES)):
+            for k in depths[:-1]:
+                assert values[b, k, STRICT] == sign * values[b, k + 1, WEAK]
+                assert values[b, k + 1, STRICT] == sign * values[b, k, WEAK]
