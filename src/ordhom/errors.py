@@ -19,9 +19,9 @@ class NotTotallyOrdered(OrdhomError):
 
 
 class DepthUnsupported(OrdhomError):
-    """A lex depth the operation does not handle: component counting past
-    depth 1, ``--components`` at a depth other than 1, or a poset file with
-    nonzero depth where a plain poset is needed."""
+    """A lex depth the operation does not handle: ``--components`` at a
+    depth other than 1, or a poset file with nonzero depth where a plain
+    poset is needed."""
 
 
 class MembershipError(OrdhomError):

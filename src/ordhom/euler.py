@@ -32,18 +32,28 @@ monotone maps of a block B into R^k, in a given mode.
   other mode's order polynomial at -1, which Stanley reciprocity turns
   into chi_0(B). So chi_2 = chi_0, and by induction chi_k = chi_(k mod 2):
   at even k, 1 in weak mode and in strict mode 1 exactly for an antichain;
-  at odd k, (-1)**|B| times the even value of the other mode
-  (`_real_weight`).
+  at odd k, (-1)**|B| times the even value of the other mode.
+
+A signed count of base maps. At even depth a fiber weighs 1 in weak mode,
+and in strict mode 1 exactly when it is an antichain; a weakly monotone
+base map whose fibers are all antichains is a strict map. So the product
+over the fibers of a base map is 1 on the base maps of the mode and 0 on
+the others. At odd depth it is the other mode's, times fiber signs that
+multiply to (-1)**|P|. Summed over the base maps,
+chi(maps P -> Q0 x R^k) = s * #(mode' maps P -> Q0) with
+(s, mode') = `_to_depth_zero(|P|, k, mode)`. At k = 1 in weak mode this is
+the identity the paper refines,
+chi(weak maps P -> Q0 x R) = (-1)**|P| * #(strict maps P -> Q0).
 
 Down-set chains, one engine for two results: an ordered set partition
 whose blocks come in value order is a chain of down-sets
 0 < I_1 < ... < I_j = P. Let e_j count the chains with j blocks, in strict
-mode only those whose blocks are antichains (`_chain_sums`). Then
-sum_j e_j C(m, j) counts the maps into chain(m) (j of the m values are
-hit, in order). So `order_polynomial` reads the vector in the binomial
-basis, and `euler_hom` reads it at m = |Q0| when Q0 is a chain: at odd
-depth the fibers' weights are the other mode's times signs that multiply
-to (-1)**|P|. Non-chain bases keep the fiber sum over weak base maps.
+mode only those whose blocks are antichains: each block is then a nonempty
+set of minimal elements of what the earlier blocks leave (`_chain_sums`).
+Then sum_j e_j C(m, j) counts the maps into chain(m) (j of the m values
+are hit, in order). So `order_polynomial` reads the vector in the binomial
+basis, and `euler_hom` reads it at m = |Q0| when Q0 is a chain. Other
+bases count their maps by backtracking (`count_homs`).
 
 Memos: `_chain_sums` memoizes its vector on the remaining up-set within one
 call. The module keeps no state between calls.
@@ -54,8 +64,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import DepthUnsupported
-from .homs import STRICT, WEAK, _check_mode, count_homs, iter_hom_values
+from .homs import STRICT, WEAK, _check_mode, count_homs
 from .posets import FinitePoset, LexPoset, _mask_bits, negate
 
 __all__ = [
@@ -124,14 +133,16 @@ def compatible_preorders(P: FinitePoset):
     yield from rec((1 << len(P)) - 1, ())
 
 
-def _has_comparable_pair(preds, mask: int) -> bool:
+def _minimal(preds, mask: int) -> int:
+    """The minimal elements of the subposet induced on ``mask``, as a mask."""
+    out = 0
     m = mask
     while m:
-        i = (m & -m).bit_length() - 1
-        if preds[i] & mask:
-            return True
-        m &= m - 1
-    return False
+        bit = m & -m
+        if not preds[bit.bit_length() - 1] & mask:
+            out |= bit
+        m ^= bit
+    return out
 
 
 def _to_depth_zero(n: int, k: int, mode: str):
@@ -142,38 +153,25 @@ def _to_depth_zero(n: int, k: int, mode: str):
     return 1, mode
 
 
-def _real_weight(preds, mask: int, k: int, mode: str) -> int:
-    """Euler characteristic of the monotone maps of the block ``mask`` of
-    the poset given by ``preds`` into R^k with lexicographic order."""
-    sign, mode = _to_depth_zero(mask.bit_count(), k, mode)
-    return sign if mode == WEAK or not _has_comparable_pair(preds, mask) else 0
-
-
 def _chain_sums(preds, mode: str, top: int) -> list:
     """The vector (e_0, ..., e_top) of the poset given by ``preds``, cut
     off at its size n when top > n.
 
-    e_j sums, over the chains of down-sets 0 < I_1 < ... < I_j = P, the
-    product of the depth-0 weights of the blocks I_i minus I_(i-1): 1 in
-    weak mode, and in strict mode 1 exactly when the block is an antichain.
+    e_j counts the chains of down-sets 0 < I_1 < ... < I_j = P, in strict
+    mode only those whose blocks I_i minus I_(i-1) are antichains. An
+    antichain down-set of the remaining up-set is a nonempty set of its
+    minimal elements, so strict mode steps through the subsets of those.
 
     The vector of each remaining up-set is computed once, up to the most
     blocks its chains may have: top for the whole poset, top - 1 below it.
-    An up-set allowed one block is not walked, its vector is its weight; so
-    top = 0 or 1 walks nothing, and top = 2 walks only the whole poset's
-    down-steps.
+    An up-set allowed one block is not walked, its vector is [0, 1] when
+    it is itself a block; so top = 0 or 1 walks nothing, and top = 2 walks
+    only the whole poset's steps.
     """
     n = len(preds)
     full = (1 << n) - 1
     top = min(top, n)
-    weights = {}
     memo = {0: [1]}
-
-    def weight(s):
-        w = weights.get(s)
-        if w is None:
-            w = weights[s] = _real_weight(preds, s, 0, mode)
-        return w
 
     def rec(remaining):
         hit = memo.get(remaining)
@@ -181,16 +179,15 @@ def _chain_sums(preds, mode: str, top: int) -> list:
             return hit
         # below the first block a chain has at most top - 1 blocks left
         b = min(top if remaining == full else top - 1, remaining.bit_count())
+        pool = remaining if mode == WEAK else _minimal(preds, remaining)
         if b <= 1:
-            out = [0, weight(remaining)] if b else [0]
+            out = [0, int(pool == remaining)] if b else [0]
         else:
             out = [0] * (b + 1)
-            for s in _down_steps(preds, remaining):
-                w = weight(s)
-                if w:
-                    sub = rec(remaining & ~s)
-                    for j in range(min(len(sub), b)):
-                        out[j + 1] += w * sub[j]
+            for s in _down_steps(preds, pool):
+                sub = rec(remaining & ~s)
+                for j in range(min(len(sub), b)):
+                    out[j + 1] += sub[j]
         memo[remaining] = out
         return out
 
@@ -203,41 +200,25 @@ def euler_hom_real(P: FinitePoset, k: int, mode: str) -> int:
     _check_mode(mode)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return _real_weight(P.pred_masks, (1 << len(P)) - 1, k, mode)
-
-
-def _fiber_sum(P: FinitePoset, Q: LexPoset, mode: str) -> int:
-    """`euler_hom` by fiber splitting over the weakly monotone base maps,
-    for any base."""
-    preds = P.pred_masks
-    total = 0
-    for values in iter_hom_values(P, Q.base, WEAK):
-        fibers = {}
-        for i, v in enumerate(values):
-            fibers[v] = fibers.get(v, 0) | (1 << i)
-        prod = 1
-        for mask in fibers.values():
-            prod *= _real_weight(preds, mask, Q.depth, mode)
-            if not prod:
-                break
-        total += prod
-    return total
+    sign, mode = _to_depth_zero(len(P), k, mode)
+    full = (1 << len(P)) - 1
+    return sign if mode == WEAK or _minimal(P.pred_masks, full) == full else 0
 
 
 def euler_hom(P: FinitePoset, Q: LexPoset, mode: str) -> int:
     """Euler characteristic of the monotone maps from P into the lex
-    product Q.
+    product Q: s times the number of mode' maps P -> Q0, with
+    (s, mode') = `_to_depth_zero(|P|, depth, mode)` (module docstring).
 
-    For a chain base of m elements this is sum_j e_j C(m, j) over the
-    down-set chains of P (`_chain_sums`), at odd depth in the other mode
-    and times (-1)**|P|; other bases take the fiber sum over weakly
-    monotone base maps.
+    For a chain base of m elements the count is sum_j e_j C(m, j) over the
+    down-set chains of P (`_chain_sums`); other bases count by backtracking
+    (`count_homs`).
     """
     _check_mode(mode)
-    if not Q.base.is_chain():
-        return _fiber_sum(P, Q, mode)
-    m = len(Q.base)
     sign, mode = _to_depth_zero(len(P), Q.depth, mode)
+    if not Q.base.is_chain():
+        return sign * count_homs(P, Q.base, mode)
+    m = len(Q.base)
     e = _chain_sums(P.pred_masks, mode, m)
     return sign * sum(c * comb(m, j) for j, c in enumerate(e))
 
@@ -275,18 +256,17 @@ def check_euler_reciprocity(P: FinitePoset, Q: LexPoset):
 
 
 def count_components(P: FinitePoset, Q: LexPoset, mode: str) -> int:
-    """Number of connected components of the monotone maps P -> Q, for lex
-    depth at most 1.
+    """Number of connected components of the monotone maps P -> Q.
 
-    At depth 0 the space is finite and discrete. At depth 1 it splits into
-    one clopen piece per weakly monotone base map P -> Q0. Over a fixed base
-    map the reals form a convex cone, cut out by t_x <= t_y (weak) or
-    t_x < t_y (strict) for x < y in the same fiber, and it is nonempty in
-    either mode (number the fiber along a linear extension). So each piece
-    is connected and the components are the weak base maps. Deeper targets
-    raise DepthUnsupported.
+    At depth 0 the space is finite and discrete. At depth k >= 1 it splits
+    into one clopen piece per weakly monotone base map P -> Q0. Over a fixed
+    base map the reals form a cone in (R^k)^|P|, cut out by requiring
+    t_y - t_x to be lex-nonnegative (weak) or lex-positive (strict) for
+    x < y in the same fiber. Both sets of vectors are closed under addition
+    and positive scaling, so the cone is convex, and it is nonempty in
+    either mode (number the fiber along a linear extension in the first
+    coordinate). So each piece is connected and the components are the
+    weak base maps.
     """
     _check_mode(mode)
-    if Q.depth > 1:
-        raise DepthUnsupported("component counting supports depth <= 1")
     return count_homs(P, Q.base, mode if Q.depth == 0 else WEAK)

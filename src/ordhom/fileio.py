@@ -13,10 +13,10 @@ import hashlib
 import json
 import math
 
-from .errors import FormatError
+from .errors import FormatError, MembershipError
 from .homs import WEAK, MonotoneMap
 from .posets import FinitePoset, admissible_numbering, build_poset
-from .homeo import LexHomPoint
+from .homeo import LexHomPoint, membership
 
 __all__ = [
     "load_poset",
@@ -60,7 +60,8 @@ def load_point(path, P: FinitePoset, Q: FinitePoset, stage: int) -> LexHomPoint:
     """Read a point file for the pair (P, Q), claiming the given stage.
 
     The file's arrays follow P's element order; the returned point's reals
-    are permuted into numbering-position order.
+    are permuted into numbering-position order. Raises MembershipError
+    unless the base is weakly monotone, which every stage requires.
     """
     doc = _read_json(path)
     if not isinstance(doc, dict) or set(doc) != {"base", "reals"}:
@@ -78,7 +79,10 @@ def load_point(path, P: FinitePoset, Q: FinitePoset, stage: int) -> LexHomPoint:
     values = tuple(Q.index(b) for b in base)
     order = admissible_numbering(P).order
     by_position = tuple(float(reals[order[a]]) for a in range(n))
-    return LexHomPoint(MonotoneMap(P, Q, values, WEAK), by_position, stage)
+    point = LexHomPoint(MonotoneMap(P, Q, values, WEAK), by_position, stage)
+    if not membership(P, Q, point, 1):
+        raise MembershipError(f"{path}: 'base' is not a weakly monotone map of P into Q")
+    return point
 
 
 def point_to_dict(P: FinitePoset, Q: FinitePoset, point: LexHomPoint) -> dict:

@@ -8,6 +8,10 @@ already-assigned elements narrows a candidate mask the moment an element
 comes up. At the last position it hands back that element's whole mask of
 allowed values instead of branching on each one: `iter_hom_values` expands
 the mask in ascending bit order, and `count_homs` adds up its popcount.
+
+Besides checking the rest of the library, `count_homs` computes two of its
+results: `euler_hom` into a non-chain base and `count_components`, which
+are counts of base maps (see euler).
 """
 
 from __future__ import annotations

@@ -229,6 +229,22 @@ def test_homeo_backward_point(capsys, files):
     assert rep["result"]["outputs"] == [{"base": ["1", "1"], "reals": [5.0, 6.0]}]
 
 
+@pytest.mark.parametrize("direction", ["forward", "backward", "roundtrip"])
+def test_homeo_rejects_non_monotone_base(capsys, files, direction):
+    # every stage needs a weakly monotone base, backward's free points too
+    pt = files.write("pt.json", {"base": ["2", "1"], "reals": [0.5, 0.25]})
+    code, out, err = run(capsys, ["homeo", files.chain2, files.chain2, pt,
+                                  "--direction", direction])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "weakly monotone" in err
+    assert "Traceback" not in err
+    code, rep, _ = run_json(capsys, ["homeo", files.chain2, files.chain2, pt,
+                                     "--direction", direction])
+    assert code == 1
+    assert rep["status"] == "error" and "weakly monotone" in rep["result"]["error"]
+
+
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
 @pytest.mark.parametrize("direction", ["forward", "backward", "roundtrip"])
 def test_homeo_rejects_non_finite_reals(capsys, files, token, direction):

@@ -3,11 +3,12 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordhom import (
     STRICT,
     WEAK,
-    DepthUnsupported,
     LexPoset,
     antichain,
     build_poset,
@@ -29,6 +30,16 @@ from ordhom import (
 from _corpus import random_posets, small_posets
 
 V = build_poset("abc", [("a", "b"), ("a", "c")])
+V_DUAL = negate(LexPoset(V, 0)).base
+
+
+def signed_count(P, Q0, k, mode):
+    """(-1)**|P| times the maps P -> Q0 of the other mode at odd k, and the
+    maps of the mode at even k: the fibers' Euler characteristics multiply
+    to 1 on exactly those base maps, with signs multiplying to (-1)**|P|."""
+    if k % 2:
+        return (-1) ** len(P) * count_homs(P, Q0, WEAK if mode == STRICT else STRICT)
+    return count_homs(P, Q0, mode)
 
 
 def all_ordered_set_partitions(items):
@@ -188,10 +199,15 @@ def test_euler_hom_matches_depth1_oracle():
 
 
 def test_euler_hom_depth_zero_is_counting():
+    # at depth 0 the maps are counted; deeper, the Euler characteristic is
+    # the signed count of base maps, periodic in the depth with period 2
     for P in small_posets(3):
-        for Q0 in (chain(2), V):
+        for Q0 in (chain(2), V, V_DUAL, antichain(2)):
             for mode in (STRICT, WEAK):
                 assert euler_hom(P, LexPoset(Q0, 0), mode) == count_homs(P, Q0, mode)
+                for k in range(4):
+                    assert euler_hom(P, LexPoset(Q0, k), mode) == \
+                        signed_count(P, Q0, k, mode)
 
 
 @pytest.mark.parametrize("mode", [STRICT, WEAK])
@@ -255,9 +271,17 @@ def test_count_components_depth_zero():
             count_homs(chain(2), chain(3), mode)
 
 
-def test_count_components_rejects_depth_two():
-    with pytest.raises(DepthUnsupported):
-        count_components(chain(1), LexPoset(chain(1), 2), WEAK)
+def test_count_components_deep_matches_union_find_oracle():
+    # over a fixed base map the reals of a map into Q0 x R^k form a convex
+    # cone at every depth k >= 1 (lex-nonnegative and lex-positive vectors
+    # are closed under sums and positive scaling), so the components are
+    # those of depth 1
+    for P in small_posets(3):
+        for Q0 in (chain(1), chain(2), antichain(2), V):
+            for mode in (STRICT, WEAK):
+                want = union_find_components(P, Q0, mode)
+                for k in (2, 3, 4):
+                    assert count_components(P, LexPoset(Q0, k), mode) == want
 
 
 def test_count_components_equals_weak_base_count():
@@ -324,9 +348,9 @@ def test_strata_are_realizable_points():
 
 
 def test_chain_base_matches_fiber_sum():
-    # the down-set chain read-out against the sum over weak base maps
-    import ordhom.euler as euler
-
+    # the down-set chain read-out against the fiber sum over weak base
+    # maps, which collapses to `signed_count`: the backtracker's count of
+    # base maps, sharing no code with the down-set chains
     posets = (list(small_posets(3)) + random_posets(4, 6, seed=4)
               + random_posets(5, 6, seed=5) + random_posets(6, 6, seed=6))
     for P in posets:
@@ -334,7 +358,7 @@ def test_chain_base_matches_fiber_sum():
             for k in range(3):
                 Q = LexPoset(chain(m), k)
                 for mode in (STRICT, WEAK):
-                    assert euler_hom(P, Q, mode) == euler._fiber_sum(P, Q, mode)
+                    assert euler_hom(P, Q, mode) == signed_count(P, chain(m), k, mode)
 
 
 def test_chain_base_edge_cases():
@@ -366,10 +390,37 @@ def _count_down_step_walks(monkeypatch):
     return walks
 
 
+def _mask_is_antichain(P, mask):
+    idx = [i for i in range(len(P)) if mask >> i & 1]
+    return not any(P.less(i, j) for i in idx for j in idx)
+
+
+def test_strict_steps_are_antichains(monkeypatch):
+    # a strict block has depth-0 weight 0 unless it is an antichain, so
+    # strict mode steps only through sets of minimal elements
+    import ordhom.euler as euler
+
+    P = random_poset(8, 3, 0.2)
+    assert P.covers
+    steps = []
+    down_steps = euler._down_steps
+
+    def recording(preds, remaining):
+        for s in down_steps(preds, remaining):
+            steps.append(s)
+            yield s
+
+    monkeypatch.setattr(euler, "_down_steps", recording)
+    euler_hom(P, LexPoset(chain(4), 2), STRICT)
+    assert steps
+    assert all(_mask_is_antichain(P, s) for s in steps)
+
+
 @pytest.mark.parametrize("mode", [STRICT, WEAK])
 @pytest.mark.parametrize("P", [antichain(6), random_poset(8, 8, 0.3)],
                          ids=["antichain6", "random8"])
 def test_no_up_set_walked_twice(monkeypatch, P, mode):
+    # strict mode walks an up-set's minimal elements, which determine it
     walks = _count_down_step_walks(monkeypatch)
     # the closed form reads the maps into R^k off the poset, walking nothing
     euler_hom_real(P, 2, mode)
@@ -397,25 +448,17 @@ def _count_yields(monkeypatch, name):
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_small_chain_bases_walk_no_more_than_fiber_sum(monkeypatch, m):
     # chains of at most m blocks: the engine walks only the whole poset's
-    # down-steps, and only for m = 2; it yields no more down-sets than the
-    # fiber sum enumerates base maps into chain(m), and the fiber sum's
-    # closed-form fiber weights walk nothing
-    import ordhom.euler as euler
-
+    # steps, and only for m = 2; it yields no more down-sets than the fiber
+    # sum over weak base maps into chain(m) would have terms
     P, Q = random_poset(8, 3, 0.2), LexPoset(chain(m), 2)
     walks = _count_down_step_walks(monkeypatch)
     down_sets = _count_yields(monkeypatch, "_down_steps")
-    base_maps = _count_yields(monkeypatch, "iter_hom_values")
     for mode in (STRICT, WEAK):
         walks.clear()
-        down_sets[0] = base_maps[0] = 0
-        got = euler_hom(P, Q, mode)
-        assert walks.total() == (m == 2) and base_maps[0] == 0
-        engine = down_sets[0]
-        walks.clear()
         down_sets[0] = 0
-        assert got == euler._fiber_sum(P, Q, mode)
-        assert not walks and engine <= base_maps[0]
+        assert euler_hom(P, Q, mode) == count_homs(P, chain(m), mode)
+        assert walks.total() == (m == 2)
+        assert down_sets[0] <= count_homs(P, chain(m), WEAK)
 
 
 def real_oracle(P, idx, k, mode, memo):
@@ -474,7 +517,7 @@ def check_engine_against_oracle(P, depths):
 @pytest.mark.parametrize("n", [5, 6])
 def test_engine_matches_partition_oracle(n):
     # the oracle sums over explicit ordered set partitions and weak maps,
-    # sharing no code with the down-set-chain sums or the fiber sum
+    # sharing no code with the down-set-chain sums or the backtracker
     for P in random_posets(n, 4, seed=10 + n) + [antichain(n)]:
         check_engine_against_oracle(P, (1, 2))
 
@@ -491,3 +534,22 @@ def test_engine_matches_partition_oracle_small():
             for k in depths[:-1]:
                 assert values[b, k, STRICT] == sign * values[b, k + 1, WEAK]
                 assert values[b, k + 1, STRICT] == sign * values[b, k, WEAK]
+
+
+@st.composite
+def posets(draw, max_n):
+    """A poset on at most max_n elements: relations drawn between pairs of
+    a random linear order, element names listed in another."""
+    n = draw(st.integers(0, max_n))
+    rank = draw(st.permutations(range(n)))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    covers = [(str(rank[i]), str(rank[j])) for i, j in pairs if draw(st.booleans())]
+    return build_poset([str(x) for x in range(n)], covers)
+
+
+@settings(derandomize=True, deadline=None)
+@given(posets(5), posets(3), st.integers(0, 3), st.sampled_from([STRICT, WEAK]))
+def test_engine_matches_partition_oracle_random(P, Q0, k, mode):
+    # any base, chain or not, against the oracle's explicit strata: the
+    # reciprocity check holds by construction and cannot stand in for this
+    assert euler_hom(P, LexPoset(Q0, k), mode) == base_oracle(P, Q0, k, mode, {})

@@ -6,6 +6,7 @@ import pytest
 from ordhom import (
     CycleError,
     FormatError,
+    MembershipError,
     UnknownElement,
     build_poset,
     chain,
@@ -117,6 +118,15 @@ def test_load_point_unknown_target_id(tmp_path):
     p = dump(tmp_path, "pt.json", {"base": ["1", "9"], "reals": [0.0, 1.0]})
     with pytest.raises(UnknownElement):
         load_point(p, chain(2), chain(1), stage=2)
+
+
+def test_load_point_rejects_non_monotone_base(tmp_path):
+    p = dump(tmp_path, "pt.json", {"base": ["2", "1"], "reals": [0.5, 0.25]})
+    with pytest.raises(MembershipError, match="weakly monotone"):
+        load_point(p, chain(2), chain(2), stage=1)
+    # equal values are weakly monotone, whatever the reals
+    p = dump(tmp_path, "pt.json", {"base": ["2", "2"], "reals": [0.5, 0.25]})
+    assert load_point(p, chain(2), chain(2), stage=1).base.values == (1, 1)
 
 
 def test_file_digest(tmp_path):
