@@ -48,15 +48,15 @@ chi(weak maps P -> Q0 x R) = (-1)**|P| * #(strict maps P -> Q0).
 Down-set chains, one engine for two results: an ordered set partition
 whose blocks come in value order is a chain of down-sets
 0 < I_1 < ... < I_j = P. Let e_j count the chains with j blocks, in strict
-mode only those whose blocks are antichains: each block is then a nonempty
-set of minimal elements of what the earlier blocks leave (`_chain_sums`).
-Then sum_j e_j C(m, j) counts the maps into chain(m) (j of the m values
-are hit, in order). So `order_polynomial` reads the vector in the binomial
-basis, and `euler_hom` reads it at m = |Q0| when Q0 is a chain. Other
-bases count their maps by backtracking (`count_homs`).
+mode only those whose blocks are antichains. Then sum_j e_j C(m, j) counts
+the maps into chain(m) (j of the m values are hit, in order). The engine,
+`orderpoly._chain_sums`, counts the chains by a zeta transform on the
+down-set lattice J(P); `order_polynomial` reads its vector in the binomial
+basis, and `euler_hom` reads it at m = |Q0| when Q0 is a chain, building
+J(P) only when m >= 2. Other bases count their maps by backtracking
+(`count_homs`).
 
-Memos: `_chain_sums` memoizes its vector on the remaining up-set within one
-call. The module keeps no state between calls.
+The module keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .homs import STRICT, WEAK, _check_mode, count_homs
+from .orderpoly import _chain_sums
 from .posets import FinitePoset, LexPoset, _mask_bits, negate
 
 __all__ = [
@@ -133,65 +134,12 @@ def compatible_preorders(P: FinitePoset):
     yield from rec((1 << len(P)) - 1, ())
 
 
-def _minimal(preds, mask: int) -> int:
-    """The minimal elements of the subposet induced on ``mask``, as a mask."""
-    out = 0
-    m = mask
-    while m:
-        bit = m & -m
-        if not preds[bit.bit_length() - 1] & mask:
-            out |= bit
-        m ^= bit
-    return out
-
-
 def _to_depth_zero(n: int, k: int, mode: str):
     """(sign, mode') with chi_k = sign * chi_0 in mode' for n elements:
     at odd k the other mode and (-1)**n (module docstring)."""
     if k & 1:
         return (-1) ** n, WEAK if mode == STRICT else STRICT
     return 1, mode
-
-
-def _chain_sums(preds, mode: str, top: int) -> list:
-    """The vector (e_0, ..., e_top) of the poset given by ``preds``, cut
-    off at its size n when top > n.
-
-    e_j counts the chains of down-sets 0 < I_1 < ... < I_j = P, in strict
-    mode only those whose blocks I_i minus I_(i-1) are antichains. An
-    antichain down-set of the remaining up-set is a nonempty set of its
-    minimal elements, so strict mode steps through the subsets of those.
-
-    The vector of each remaining up-set is computed once, up to the most
-    blocks its chains may have: top for the whole poset, top - 1 below it.
-    An up-set allowed one block is not walked, its vector is [0, 1] when
-    it is itself a block; so top = 0 or 1 walks nothing, and top = 2 walks
-    only the whole poset's steps.
-    """
-    n = len(preds)
-    full = (1 << n) - 1
-    top = min(top, n)
-    memo = {0: [1]}
-
-    def rec(remaining):
-        hit = memo.get(remaining)
-        if hit is not None:
-            return hit
-        # below the first block a chain has at most top - 1 blocks left
-        b = min(top if remaining == full else top - 1, remaining.bit_count())
-        pool = remaining if mode == WEAK else _minimal(preds, remaining)
-        if b <= 1:
-            out = [0, int(pool == remaining)] if b else [0]
-        else:
-            out = [0] * (b + 1)
-            for s in _down_steps(preds, pool):
-                sub = rec(remaining & ~s)
-                for j in range(min(len(sub), b)):
-                    out[j + 1] += sub[j]
-        memo[remaining] = out
-        return out
-
-    return rec(full)
 
 
 def euler_hom_real(P: FinitePoset, k: int, mode: str) -> int:
@@ -201,8 +149,7 @@ def euler_hom_real(P: FinitePoset, k: int, mode: str) -> int:
     if k < 0:
         raise ValueError("k must be nonnegative")
     sign, mode = _to_depth_zero(len(P), k, mode)
-    full = (1 << len(P)) - 1
-    return sign if mode == WEAK or _minimal(P.pred_masks, full) == full else 0
+    return sign if mode == WEAK or not any(P.pred_masks) else 0
 
 
 def euler_hom(P: FinitePoset, Q: LexPoset, mode: str) -> int:
@@ -211,15 +158,15 @@ def euler_hom(P: FinitePoset, Q: LexPoset, mode: str) -> int:
     (s, mode') = `_to_depth_zero(|P|, depth, mode)` (module docstring).
 
     For a chain base of m elements the count is sum_j e_j C(m, j) over the
-    down-set chains of P (`_chain_sums`); other bases count by backtracking
-    (`count_homs`).
+    down-set chains of P (`orderpoly._chain_sums`); other bases count by
+    backtracking (`count_homs`).
     """
     _check_mode(mode)
     sign, mode = _to_depth_zero(len(P), Q.depth, mode)
     if not Q.base.is_chain():
         return sign * count_homs(P, Q.base, mode)
     m = len(Q.base)
-    e = _chain_sums(P.pred_masks, mode, m)
+    e = _chain_sums(P, mode, m)
     return sign * sum(c * comb(m, j) for j, c in enumerate(e))
 
 

@@ -27,11 +27,13 @@ __all__ = [
 
 
 def _read_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON ({exc})") from None
+        except (ValueError, RecursionError) as exc:
+            # bad syntax, invalid UTF-8 and integers past Python's digit
+            # limit are ValueErrors; deep nesting is a RecursionError
+            raise FormatError(f"{path}: not valid JSON ({exc})") from None
 
 
 def load_poset(path) -> tuple[FinitePoset, int]:
@@ -73,12 +75,17 @@ def load_point(path, P: FinitePoset, Q: FinitePoset, stage: int) -> LexHomPoint:
     if (not isinstance(reals, list) or len(reals) != n
             or not all(isinstance(r, (int, float)) and not isinstance(r, bool) for r in reals)):
         raise FormatError(f"{path}: 'reals' must be an array of {n} numbers")
+    try:
+        reals = [float(r) for r in reals]
+    except OverflowError:
+        raise FormatError(f"{path}: 'reals' must be finite numbers, "
+                          "got an integer too large for a float") from None
     for r in reals:
         if not math.isfinite(r):
             raise FormatError(f"{path}: 'reals' must be finite numbers, got {r!r}")
     values = tuple(Q.index(b) for b in base)
     order = admissible_numbering(P).order
-    by_position = tuple(float(reals[order[a]]) for a in range(n))
+    by_position = tuple(reals[order[a]] for a in range(n))
     point = LexHomPoint(MonotoneMap(P, Q, values, WEAK), by_position, stage)
     if not membership(P, Q, point, 1):
         raise MembershipError(f"{path}: 'base' is not a weakly monotone map of P into Q")

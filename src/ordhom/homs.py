@@ -95,8 +95,8 @@ def _leaf_masks(P: FinitePoset, Q: FinitePoset, mode: str, values: list):
 def iter_hom_values(P: FinitePoset, Q: FinitePoset, mode: str):
     """Yield the raw value tuple of every monotone map P -> Q.
 
-    Fast path used by the Euler characteristic engine; `enumerate_homs` is
-    the public wrapper that attaches the map objects.
+    The CLI lists maps and draws random base maps from it;
+    `enumerate_homs` is the public wrapper that attaches the map objects.
     """
     _check_mode(mode)
     n = len(P)

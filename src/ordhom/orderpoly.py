@@ -6,10 +6,28 @@ the number of strict (weak) monotone maps from P into the t-chain. Such a
 map is a chain of j nonempty down-sets of P, the fibers in value order,
 placed on j of the t values: C(t, j) ways. So the polynomial is
 sum_j e_j C(t, j), where e_j counts those chains (in strict mode, those
-whose blocks are antichains). `euler._chain_sums` computes the e_j, and
-they are converted here to power-basis coefficients over exact rationals.
-Floating point never enters this module: reciprocity is an identity
-between coefficient arrays.
+whose blocks are antichains), and they are converted here to power-basis
+coefficients over exact rationals. Floating point never enters this
+module: reciprocity is an identity between coefficient arrays.
+
+Down-set chains by a zeta transform (`_chain_sums`). The chains are
+multichains of the down-set lattice J(P) (Stanley, EC1 3.12), so they are
+counted on J(P), built once. Let f_j[I] count the chains of j blocks that
+end at the down-set I, with f_0[I] = [I == 0]. A chain of j + 1 blocks
+ending at I extends one of j blocks ending at a down-set I' < I; in strict
+mode I minus I' must be an antichain, that is a set of maximal elements of
+I. So f_(j+1) = g - f_j, where g[I] sums f_j[I'] over those I' <= I, and
+e_j = f_j[P].
+
+g is a zeta transform on J(P) (Bjorklund, Husfeldt, Kaski and Koivisto,
+SODA 2012). It starts as a copy of f_j and drops one element x at a time,
+in reverse numbering order. Weak: each I holding x adds g[I minus the
+up-set of x], the largest down-set inside I without x. Strict: each I in
+which x is maximal adds g[I minus x]. The elements dropped before x come
+later in the numbering, so none of them is below x; by induction, after
+the pass of x, g[I] sums f_j over the I' <= I whose difference with I lies
+among x and the elements after it, each I' once. A round costs one update
+per pair (x, I) with x in I.
 """
 
 from __future__ import annotations
@@ -19,11 +37,11 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import NotTotallyOrdered, OrdhomError
-from .euler import _chain_sums
 from .homs import STRICT, WEAK, _check_mode
 # `chain` is not used here; bench/test_bench.py checks that the tracer
 # wraps it on this module, so the name stays bound
-from .posets import FinitePoset, LexPoset, chain, euler_char  # noqa: F401
+from .posets import (FinitePoset, LexPoset, admissible_numbering, chain,  # noqa: F401
+                     euler_char)
 
 __all__ = [
     "OrderPolynomial",
@@ -83,6 +101,64 @@ def _trim(coeffs):
     return tuple(coeffs)
 
 
+def _down_set_lattice(P: FinitePoset) -> list:
+    """The down-sets of P as masks, built along the admissible numbering:
+    each element x is added to every down-set already built that holds
+    all predecessors of x. The first is the empty set, the last is P."""
+    preds = P.pred_masks
+    J = [0]
+    for x in admissible_numbering(P).order:
+        bit = 1 << x
+        J += [I | bit for I in J if not preds[x] & ~I]
+    return J
+
+
+def _drop_steps(P: FinitePoset, J: list, mode: str) -> list:
+    """The updates of one zeta-transform round, as pairs (i, k) of
+    positions in J meaning g[i] += g[k], in reverse numbering order of the
+    element x they drop: k is J[i] minus the up-set of x, for every J[i]
+    holding x; in strict mode only where x is maximal in J[i], so that k
+    is J[i] minus x.
+    """
+    at = {I: i for i, I in enumerate(J)}
+    succs = P.succ_masks
+    weak = mode == WEAK
+    steps = []
+    for x in reversed(admissible_numbering(P).order):
+        bit = 1 << x
+        keep = ~(succs[x] | bit)
+        steps += [(i, at[I & keep]) for i, I in enumerate(J)
+                  if I & bit and (weak or not I & succs[x])]
+    return steps
+
+
+def _chain_sums(P: FinitePoset, mode: str, top: int) -> list:
+    """The vector (e_0, ..., e_top) of P, cut off at its size n when
+    top > n: e_j counts the chains of down-sets 0 < I_1 < ... < I_j = P,
+    in strict mode only those whose blocks are antichains (module
+    docstring).
+
+    With top <= 1 no lattice is built: e_1 is 1 in weak mode, and in
+    strict mode exactly when P is an antichain.
+    """
+    n = len(P)
+    top = min(top, n)
+    if top <= 1:
+        return [int(n == 0)] + [int(mode == WEAK or not any(P.pred_masks))] * top
+    J = _down_set_lattice(P)
+    steps = _drop_steps(P, J, mode)
+    f = [0] * len(J)
+    f[0] = 1
+    e = [0]
+    for _ in range(top):
+        g = f[:]
+        for i, k in steps:
+            g[i] += g[k]
+        f = [a - b for a, b in zip(g, f)]
+        e.append(f[-1])
+    return e
+
+
 def order_polynomial(P: FinitePoset, mode: str) -> OrderPolynomial:
     """The order polynomial of P, sum_j e_j C(t, j) over the chains of
     down-sets of P, expanded exactly in the power basis.
@@ -92,7 +168,7 @@ def order_polynomial(P: FinitePoset, mode: str) -> OrderPolynomial:
     """
     _check_mode(mode)
     n = len(P)
-    e = _chain_sums(P.pred_masks, mode, n)
+    e = _chain_sums(P, mode, n)
     denom = factorial(n)
     numer = [0] * (n + 1)
     falling = [1]   # coefficients of t (t-1) ... (t-j+1), constant first

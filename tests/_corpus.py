@@ -2,6 +2,8 @@
 
 import random
 
+from hypothesis import strategies as st
+
 from ordhom import all_posets, antichain, build_poset, chain, random_poset
 
 
@@ -24,3 +26,14 @@ def named_five():
 def random_posets(n, count, seed):
     rng = random.Random(seed)
     return [random_poset(n, rng.randrange(1 << 30)) for _ in range(count)]
+
+
+@st.composite
+def posets(draw, max_n):
+    """A poset on at most max_n elements: relations drawn between pairs of
+    a random linear order, element names listed in another."""
+    n = draw(st.integers(0, max_n))
+    rank = draw(st.permutations(range(n)))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    covers = [(str(rank[i]), str(rank[j])) for i, j in pairs if draw(st.booleans())]
+    return build_poset([str(x) for x in range(n)], covers)

@@ -161,6 +161,35 @@ def test_closed_output_pipe_gives_no_traceback(files):
     assert proc.stderr == ""
 
 
+def test_malformed_json_gives_no_traceback(files, tmp_path):
+    # a point real too large for a float, an integer past Python's
+    # int-digit limit, invalid UTF-8, and nesting past the recursion limit
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    bad = {"big.json": b'{"base": ["1", "1"], "reals": [0.0, ' + b"9" * 401 + b"]}",
+           "digits.json": b'{"base": ["1", "1"], "reals": [0.0, ' + b"9" * 5001 + b"]}",
+           "utf8.json": b'{"elements": ["\xff"]}',
+           "deep.json": b"[" * 100_000}
+    for name, raw in bad.items():
+        (tmp_path / name).write_bytes(raw)
+    argvs = {"big.json": ["homeo", files.chain2, files.chain1, str(tmp_path / "big.json"),
+                          "--direction", "forward"],
+             "digits.json": ["homeo", files.chain2, files.chain1,
+                             str(tmp_path / "digits.json"), "--direction", "forward"],
+             "utf8.json": ["homcount", str(tmp_path / "utf8.json"), files.chain1,
+                           "--mode", "weak"],
+             "deep.json": ["homcount", files.chain1, str(tmp_path / "deep.json"),
+                           "--mode", "weak"]}
+    for name, argv in argvs.items():
+        proc = subprocess.run([sys.executable, "-m", "ordhom.cli", *argv],
+                              capture_output=True, env=env, text=True, timeout=60)
+        assert proc.returncode == 1, argv
+        # the error names the bad file, so it is not a usage error
+        assert proc.stderr.startswith(f"error: {tmp_path / name}: ")
+        assert "Traceback" not in proc.stderr
+
+
 def test_euler_reciprocity_ok(capsys, files):
     code, out, _ = run(capsys, ["euler-reciprocity", files.chain2, files.chain2,
                                 "--depth", "1"])

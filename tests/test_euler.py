@@ -27,7 +27,7 @@ from ordhom import (
     random_poset,
 )
 
-from _corpus import random_posets, small_posets
+from _corpus import posets, random_posets, small_posets
 
 V = build_poset("abc", [("a", "b"), ("a", "c")])
 V_DUAL = negate(LexPoset(V, 0)).base
@@ -374,91 +374,99 @@ def test_chain_base_edge_cases():
                 assert euler_hom(antichain(1), Q, mode) == euler_char(Q)
 
 
-def _count_down_step_walks(monkeypatch):
-    import collections
+class _LatticeWatch:
+    """What `orderpoly._chain_sums` builds: every down-set lattice J, and
+    every list of update pairs (i, k), meaning g[i] += g[k], as a
+    `_CountingSteps`."""
 
-    import ordhom.euler as euler
+    def __init__(self, monkeypatch):
+        import ordhom.orderpoly as orderpoly
 
-    walks = collections.Counter()
-    down_steps = euler._down_steps
+        self.lattices, self.steps = [], []
+        build, drop_steps = orderpoly._down_set_lattice, orderpoly._drop_steps
 
-    def counting(preds, remaining):
-        walks[preds, remaining] += 1
-        return down_steps(preds, remaining)
+        def building(P):
+            self.lattices.append(build(P))
+            return self.lattices[-1]
 
-    monkeypatch.setattr(euler, "_down_steps", counting)
-    return walks
+        def stepping(P, J, mode):
+            self.steps.append(_CountingSteps(drop_steps(P, J, mode)))
+            return self.steps[-1]
+
+        monkeypatch.setattr(orderpoly, "_down_set_lattice", building)
+        monkeypatch.setattr(orderpoly, "_drop_steps", stepping)
+
+    def clear(self):
+        self.lattices.clear()
+        self.steps.clear()
 
 
-def _mask_is_antichain(P, mask):
-    idx = [i for i in range(len(P)) if mask >> i & 1]
-    return not any(P.less(i, j) for i in idx for j in idx)
+class _CountingSteps(list):
+    """Update pairs that count every pair iterated over: the updates
+    applied, until a test iterates them itself."""
+
+    applied = 0
+
+    def __iter__(self):
+        for pair in super().__iter__():
+            self.applied += 1
+            yield pair
+
+
+def _is_down_set(P, mask):
+    return not any(P.pred_masks[x] & ~mask for x in range(len(P)) if mask >> x & 1)
 
 
 def test_strict_steps_are_antichains(monkeypatch):
     # a strict block has depth-0 weight 0 unless it is an antichain, so
-    # strict mode steps only through sets of minimal elements
-    import ordhom.euler as euler
-
+    # every strict update drops one element x that is maximal in its
+    # down-set; a round's block is then a set of maximal elements
     P = random_poset(8, 3, 0.2)
     assert P.covers
-    steps = []
-    down_steps = euler._down_steps
-
-    def recording(preds, remaining):
-        for s in down_steps(preds, remaining):
-            steps.append(s)
-            yield s
-
-    monkeypatch.setattr(euler, "_down_steps", recording)
+    watch = _LatticeWatch(monkeypatch)
     euler_hom(P, LexPoset(chain(4), 2), STRICT)
+    (J,), (steps,) = watch.lattices, watch.steps
     assert steps
-    assert all(_mask_is_antichain(P, s) for s in steps)
+    for i, k in steps:
+        dropped = J[i] & ~J[k]
+        assert J[k] == J[i] ^ dropped and dropped.bit_count() == 1
+        assert not P.succ_masks[dropped.bit_length() - 1] & J[i]
 
 
 @pytest.mark.parametrize("mode", [STRICT, WEAK])
 @pytest.mark.parametrize("P", [antichain(6), random_poset(8, 8, 0.3)],
                          ids=["antichain6", "random8"])
 def test_no_up_set_walked_twice(monkeypatch, P, mode):
-    # strict mode walks an up-set's minimal elements, which determine it
-    walks = _count_down_step_walks(monkeypatch)
-    # the closed form reads the maps into R^k off the poset, walking nothing
+    # each down-set, the complement of an up-set, is built once, and each
+    # round updates it at most once per element x it holds: at most
+    # top * sum_x |{I in J : x in I}| updates in all
+    watch = _LatticeWatch(monkeypatch)
+    # the closed form reads the maps into R^k off the poset, building nothing
     euler_hom_real(P, 2, mode)
-    assert not walks
-    euler_hom(P, LexPoset(chain(4), 2), mode)
-    assert walks and max(walks.values()) == 1
-
-
-def _count_yields(monkeypatch, name):
-    """Count what the generator ``euler.<name>`` yields, over all calls."""
-    import ordhom.euler as euler
-
-    count = [0]
-    gen = getattr(euler, name)
-
-    def counting(*args):
-        for x in gen(*args):
-            count[0] += 1
-            yield x
-
-    monkeypatch.setattr(euler, name, counting)
-    return count
+    assert not watch.lattices
+    top = 4
+    euler_hom(P, LexPoset(chain(top), 2), mode)
+    (J,), (steps,) = watch.lattices, watch.steps
+    assert 0 < steps.applied <= top * sum(I.bit_count() for I in J)
+    assert len(set(J)) == len(J) == count_homs(P, chain(2), WEAK)
+    assert all(_is_down_set(P, I) for I in J)
+    # the dropped set J[i] minus J[k] has x as its one minimal element
+    assert len({(i, J[i] & ~J[k]) for i, k in steps}) == len(steps)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_small_chain_bases_walk_no_more_than_fiber_sum(monkeypatch, m):
-    # chains of at most m blocks: the engine walks only the whole poset's
-    # steps, and only for m = 2; it yields no more down-sets than the fiber
-    # sum over weak base maps into chain(m) would have terms
+    # chains of at most m blocks: top <= 1 builds no lattice; m = 2 builds
+    # J(P) once, no larger than the fiber sum over weak base maps into
+    # chain(m) has terms, and runs two rounds over it
     P, Q = random_poset(8, 3, 0.2), LexPoset(chain(m), 2)
-    walks = _count_down_step_walks(monkeypatch)
-    down_sets = _count_yields(monkeypatch, "_down_steps")
+    watch = _LatticeWatch(monkeypatch)
     for mode in (STRICT, WEAK):
-        walks.clear()
-        down_sets[0] = 0
+        watch.clear()
         assert euler_hom(P, Q, mode) == count_homs(P, chain(m), mode)
-        assert walks.total() == (m == 2)
-        assert down_sets[0] <= count_homs(P, chain(m), WEAK)
+        assert len(watch.lattices) == (m == 2)
+        assert sum(map(len, watch.lattices)) <= count_homs(P, chain(m), WEAK)
+        assert all(steps.applied == m * len(steps) for steps in watch.steps)
 
 
 def real_oracle(P, idx, k, mode, memo):
@@ -534,17 +542,6 @@ def test_engine_matches_partition_oracle_small():
             for k in depths[:-1]:
                 assert values[b, k, STRICT] == sign * values[b, k + 1, WEAK]
                 assert values[b, k + 1, STRICT] == sign * values[b, k, WEAK]
-
-
-@st.composite
-def posets(draw, max_n):
-    """A poset on at most max_n elements: relations drawn between pairs of
-    a random linear order, element names listed in another."""
-    n = draw(st.integers(0, max_n))
-    rank = draw(st.permutations(range(n)))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    covers = [(str(rank[i]), str(rank[j])) for i, j in pairs if draw(st.booleans())]
-    return build_poset([str(x) for x in range(n)], covers)
 
 
 @settings(derandomize=True, deadline=None)

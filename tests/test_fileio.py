@@ -62,6 +62,23 @@ def test_load_poset_not_json(tmp_path):
         load_poset(p)
 
 
+UNREADABLE_JSON = {
+    "utf8": b'{"elements": ["\xff"]}',
+    "digits": b'{"elements": ["a"], "depth": ' + b"9" * 5001 + b"}",
+    "nesting": b"[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("raw", UNREADABLE_JSON.values(), ids=UNREADABLE_JSON.keys())
+def test_load_poset_unreadable_json(tmp_path, raw):
+    # invalid UTF-8, an integer past Python's int-digit limit, and nesting
+    # past the recursion limit all end in the typed error
+    p = tmp_path / "p.json"
+    p.write_bytes(raw)
+    with pytest.raises(FormatError, match="not valid JSON"):
+        load_poset(p)
+
+
 def test_load_poset_order_errors(tmp_path):
     with pytest.raises(UnknownElement):
         load_poset(dump(tmp_path, "a.json", {"elements": ["a"], "covers": [["a", "z"]]}))
@@ -111,6 +128,16 @@ def test_load_point_rejects_non_finite_reals(tmp_path, bad):
     # -Infinity, which json.load accepts back
     p = dump(tmp_path, "pt.json", {"base": ["1", "1"], "reals": [0.0, bad]})
     with pytest.raises(FormatError, match="finite"):
+        load_point(p, chain(2), chain(1), stage=2)
+
+
+@pytest.mark.parametrize("digits, match", [(401, "too large for a float"),
+                                           (5001, "not valid JSON")],
+                         ids=["float_overflow", "digit_limit"])
+def test_load_point_rejects_huge_integer_reals(tmp_path, digits, match):
+    p = tmp_path / "pt.json"
+    p.write_bytes(b'{"base": ["1", "1"], "reals": [0.0, ' + b"9" * digits + b"]}")
+    with pytest.raises(FormatError, match=match):
         load_point(p, chain(2), chain(1), stage=2)
 
 

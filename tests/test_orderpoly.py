@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordhom import (
     STRICT,
@@ -18,9 +20,10 @@ from ordhom import (
     euler_via_orderpoly,
     evaluate,
     order_polynomial,
+    random_poset,
 )
 
-from _corpus import random_posets, small_posets
+from _corpus import posets, random_posets, small_posets
 
 V = build_poset("abc", [("a", "b"), ("a", "c")])
 
@@ -137,6 +140,25 @@ def test_down_set_chains_match_map_counts(n):
             assert all(isinstance(c, Fraction) for c in poly.coefficients)
             for t in range(1, n + 4):
                 assert evaluate(poly, t) == count_homs(P, chain(t), mode)
+
+
+@pytest.mark.parametrize("P", [antichain(10)] + [random_poset(12, s, 0.1) for s in (1, 2, 3)],
+                         ids=["antichain10", "random12-1", "random12-2", "random12-3"])
+def test_wide_lattices_match_map_counts(P):
+    # hundreds to thousands of down-sets, each with many elements to drop
+    for mode in (STRICT, WEAK):
+        poly = order_polynomial(P, mode)
+        for t in range(4):
+            assert evaluate(poly, t) == count_homs(P, chain(t), mode)
+
+
+@settings(derandomize=True, deadline=None)
+@given(posets(6), st.integers(0, 3), st.sampled_from([STRICT, WEAK]))
+def test_reciprocity_against_backtracker(P, m, mode):
+    # Stanley reciprocity, with the other side counted by the backtracker
+    other = WEAK if mode == STRICT else STRICT
+    assert (evaluate(order_polynomial(P, mode), -m)
+            == (-1) ** len(P) * count_homs(P, chain(m), other))
 
 
 def test_order_polynomial_edge_cases():
