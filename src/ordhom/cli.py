@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -25,6 +26,10 @@ from .orderpoly import check_stanley_reciprocity, evaluate, order_polynomial
 from .posets import LexPoset
 
 ROUNDTRIP_TOLERANCE = 1e-9
+# `--eval` refuses a decimal exponent past this before Fraction builds
+# 10**exponent, whose time and memory grow without bound; 10**4300 already
+# has more digits than Python converts to text by default
+_EVAL_MAX_EXPONENT = 4300
 _EXIT = {"ok": 0, "theorem-violated": 2, "error": 1}
 
 
@@ -75,12 +80,28 @@ def cmd_ordpoly(args):
         "coefficients": [str(c) for c in poly.coefficients],
     }
     if args.eval is not None:
+        t = _eval_point(args.eval)
+        value = evaluate(poly, t)
         try:
-            t = Fraction(args.eval)
-        except (ValueError, ZeroDivisionError):
-            raise UsageError(f"--eval expects a rational number, got {args.eval!r}")
-        result["eval"] = {"t": str(t), "value": str(evaluate(poly, t))}
+            result["eval"] = {"t": str(t), "value": str(value)}
+        except ValueError:   # past Python's limit on int-to-text digits
+            raise UsageError(f"--eval {args.eval}: t or the value has too many "
+                             "digits to print") from None
     return {"P": _digest_entry(args.P)}, result, "ok"
+
+
+def _eval_point(text):
+    """The rational number --eval names, read by `fractions.Fraction`
+    (which allows underscores between the digits of an exponent)."""
+    exponent = re.search(r"[eE][-+]?([\d_]+)", text)
+    digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+    if len(digits) > 4 or digits and int(digits) > _EVAL_MAX_EXPONENT:
+        raise UsageError(f"--eval exponent is larger than {_EVAL_MAX_EXPONENT} "
+                         "in absolute value")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"--eval expects a rational number, got {text!r}") from None
 
 
 def cmd_reciprocity(args):

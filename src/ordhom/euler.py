@@ -56,7 +56,11 @@ basis, and `euler_hom` reads it at m = |Q0| when Q0 is a chain, building
 J(P) only when m >= 2. Other bases count their maps by backtracking
 (`count_homs`).
 
-The module keeps no state between calls.
+State between calls lives on the poset. `_chain_sums` keeps on P the
+longest vector (e_0, ..., e_top) it has computed per mode
+(`FinitePoset._chains`), and answers a call with a smaller top by a copy
+of its prefix. So the order polynomials of P and its Euler characteristics
+into every chain base, at any depth, read one vector per mode.
 """
 
 from __future__ import annotations

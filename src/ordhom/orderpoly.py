@@ -139,12 +139,17 @@ def _chain_sums(P: FinitePoset, mode: str, top: int) -> list:
     docstring).
 
     With top <= 1 no lattice is built: e_1 is 1 in weak mode, and in
-    strict mode exactly when P is an antichain.
+    strict mode exactly when P is an antichain. Otherwise the longest
+    vector computed so far for each mode is kept on P, and a call whose
+    top it covers returns a copy of its prefix.
     """
     n = len(P)
     top = min(top, n)
     if top <= 1:
         return [int(n == 0)] + [int(mode == WEAK or not any(P.pred_masks))] * top
+    kept = P._chains.get(mode, ())
+    if len(kept) > top:
+        return kept[:top + 1]
     J = _down_set_lattice(P)
     steps = _drop_steps(P, J, mode)
     f = [0] * len(J)
@@ -156,7 +161,8 @@ def _chain_sums(P: FinitePoset, mode: str, top: int) -> list:
             g[i] += g[k]
         f = [a - b for a, b in zip(g, f)]
         e.append(f[-1])
-    return e
+    P._chains[mode] = e
+    return e[:]
 
 
 def order_polynomial(P: FinitePoset, mode: str) -> OrderPolynomial:

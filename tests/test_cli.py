@@ -77,6 +77,23 @@ def test_ordpoly_bad_eval(capsys, files):
     assert "error" in err
 
 
+@pytest.mark.parametrize("t, refused", [("1e2200", False), ("1e-3000", False),
+                                        ("1e5000", True), ("1e1_000_000", True)])
+def test_ordpoly_huge_eval_is_an_error(capsys, files, t, refused):
+    # 1e2200 and 1e-3000 parse, but the value has more digits than Python
+    # prints; the larger exponents are refused before Fraction builds
+    # 10**exponent
+    code, out, err = run(capsys, ["ordpoly", files.chain2, "--mode", "weak", f"--eval={t}"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --eval ")
+    assert ("exponent" in err) == refused
+    code, rep, _ = run_json(capsys, ["ordpoly", files.chain2, "--mode", "weak",
+                                     f"--eval={t}"])
+    assert code == 1
+    assert rep["status"] == "error" and rep["result"]["error"].startswith("--eval ")
+
+
 def test_reciprocity_ok(capsys, files):
     code, out, _ = run(capsys, ["reciprocity", files.v])
     assert code == 0

@@ -14,6 +14,7 @@ from ordhom import (
     build_poset,
     chain,
     check_euler_reciprocity,
+    check_stanley_reciprocity,
     compatible_preorders,
     count_components,
     count_homs,
@@ -467,6 +468,39 @@ def test_small_chain_bases_walk_no_more_than_fiber_sum(monkeypatch, m):
         assert len(watch.lattices) == (m == 2)
         assert sum(map(len, watch.lattices)) <= count_homs(P, chain(m), WEAK)
         assert all(steps.applied == m * len(steps) for steps in watch.steps)
+
+
+def _chain_base_eulers(P):
+    return [euler_hom(P, LexPoset(chain(m), k), mode)
+            for m in range(5) for k in range(4) for mode in (STRICT, WEAK)]
+
+
+def test_kept_chain_vectors_do_not_depend_on_call_order():
+    # a poset keeps one down-set chain vector per mode: the chain-base
+    # values read before and after the order polynomials store the full
+    # vectors, and on a fresh instance where the polynomials come first
+    corpus = list(small_posets(4)) + [random_poset(8, s, p)
+                                      for s in (1, 2, 3) for p in (0.2, 0.5)]
+    for P in corpus:
+        before = _chain_base_eulers(P)
+        polys = [order_polynomial(P, mode) for mode in (STRICT, WEAK)]
+        fresh = build_poset(P.elements, P.covers)
+        assert polys == [order_polynomial(fresh, mode) for mode in (STRICT, WEAK)]
+        assert _chain_base_eulers(P) == before == _chain_base_eulers(fresh)
+        assert before == [signed_count(P, chain(m), k, mode) for m in range(5)
+                          for k in range(4) for mode in (STRICT, WEAK)]
+
+
+def test_reciprocity_checks_build_one_lattice_per_mode(monkeypatch):
+    # the order polynomials keep each mode's full vector, and both Euler
+    # identities into chain(2) x R read prefixes of them
+    P, Q = random_poset(6, 2, 0.3), LexPoset(chain(2), 1)
+    watch = _LatticeWatch(monkeypatch)
+    assert check_stanley_reciprocity(P).holds
+    reports = check_euler_reciprocity(P, Q)
+    assert len(watch.lattices) == 2
+    assert all(r.holds for r in reports)
+    assert reports == check_euler_reciprocity(build_poset(P.elements, P.covers), Q)
 
 
 def real_oracle(P, idx, k, mode, memo):

@@ -161,6 +161,22 @@ def test_reciprocity_against_backtracker(P, m, mode):
             == (-1) ** len(P) * count_homs(P, chain(m), other))
 
 
+def test_kept_chain_vector_is_copied_out():
+    # _chain_sums keeps the longest vector per mode on the poset and hands
+    # out copies, so mutating one changes no later result
+    from ordhom.orderpoly import _chain_sums
+
+    P = random_poset(7, 4, 0.3)
+    fresh = build_poset(P.elements, P.covers)
+    for mode in (STRICT, WEAK):
+        expected = _chain_sums(fresh, mode, 7)
+        for top in (2, 7, 3, 9):   # stored, longer stored, prefix, cut off
+            e = _chain_sums(P, mode, top)
+            assert e == expected[:top + 1]
+            e[-1] += 1
+        assert order_polynomial(P, mode) == order_polynomial(fresh, mode)
+
+
 def test_order_polynomial_edge_cases():
     for mode in (STRICT, WEAK):
         empty = order_polynomial(chain(0), mode)

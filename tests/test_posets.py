@@ -20,7 +20,7 @@ from ordhom import (
     random_poset,
 )
 
-from _corpus import random_posets, small_posets
+from _corpus import random_posets, relation_filter_posets, small_posets
 
 
 def closure_oracle(elements, covers):
@@ -149,8 +149,18 @@ def test_lex_poset_negation_and_euler():
 
 
 def test_all_posets_counts():
-    # labeled posets on n elements
-    assert [sum(1 for _ in all_posets(n)) for n in range(5)] == [1, 1, 3, 19, 219]
+    # labeled posets on n elements (OEIS A001035)
+    assert ([sum(1 for _ in all_posets(n)) for n in range(7)]
+            == [1, 1, 3, 19, 219, 4231, 130023])
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_all_posets_matches_relation_filter(n):
+    # the same posets in the same order as the relation filter, whose order
+    # the sweep benchmark's expected digests were recorded in
+    def parts(P):
+        return P.elements, P.succ_masks, P.covers
+    assert list(map(parts, all_posets(n))) == list(map(parts, relation_filter_posets(n)))
 
 
 def test_all_posets_yields_valid_distinct_posets():
