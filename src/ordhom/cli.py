@@ -85,8 +85,8 @@ def cmd_ordpoly(args):
         try:
             result["eval"] = {"t": str(t), "value": str(value)}
         except ValueError:   # past Python's limit on int-to-text digits
-            raise UsageError(f"--eval {args.eval}: t or the value has too many "
-                             "digits to print") from None
+            raise UsageError(f"--eval {_clip(args.eval)}: t or the value has too "
+                             "many digits to print") from None
     return {"P": _digest_entry(args.P)}, result, "ok"
 
 
@@ -101,7 +101,18 @@ def _eval_point(text):
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise UsageError(f"--eval expects a rational number, got {text!r}") from None
+        # int() reads each side of '/' (with a decimal point's two sides
+        # joined) up to Python's digit limit, 0 or absent for none
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if 0 < limit < max(len(re.findall(r"\d", s)) for s in re.split(r"[/eE]", text)):
+            raise UsageError(f"--eval {_clip(text)}: more than {limit} digits, "
+                             "past Python's int-digit limit") from None
+        raise UsageError(f"--eval expects a rational number, got {_clip(text)}") from None
+
+
+def _clip(text):
+    """``text`` quoted, cut after 40 characters."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
 
 
 def cmd_reciprocity(args):

@@ -53,8 +53,9 @@ the maps into chain(m) (j of the m values are hit, in order). The engine,
 `orderpoly._chain_sums`, counts the chains by a zeta transform on the
 down-set lattice J(P); `order_polynomial` reads its vector in the binomial
 basis, and `euler_hom` reads it at m = |Q0| when Q0 is a chain, building
-J(P) only when m >= 2. Other bases count their maps by backtracking
-(`count_homs`).
+J(P) only when m >= 2. `compatible_preorders` lists the weak chains by
+walking the same lattice. One function, `posets._down_sets`, builds J(P)
+for both. Other bases count their maps by backtracking (`count_homs`).
 
 State between calls lives on the poset. `_chain_sums` keeps on P the
 longest vector (e_0, ..., e_top) it has computed per mode
@@ -70,7 +71,8 @@ from math import comb
 
 from .homs import STRICT, WEAK, _check_mode, count_homs
 from .orderpoly import _chain_sums
-from .posets import FinitePoset, LexPoset, _mask_bits, negate
+from .posets import (FinitePoset, LexPoset, _down_sets, _mask_bits,
+                     admissible_numbering, negate)
 
 __all__ = [
     "OrderedSetPartition",
@@ -98,44 +100,26 @@ class OrderedSetPartition:
     blocks: tuple
 
 
-def _down_steps(preds, remaining: int):
-    """Yield every nonempty down-set of the subposet induced on
-    ``remaining``: each subset holding every still-remaining strict
-    predecessor of each of its members, in increasing mask order. These are
-    the possible next blocks of an ordered set partition of ``remaining``.
-    """
-    s = 0
-    while True:
-        s = (s - remaining) & remaining
-        if s == 0:
-            return
-        rest = remaining & ~s
-        m = s
-        while m:
-            if preds[(m & -m).bit_length() - 1] & rest:
-                break
-            m &= m - 1
-        else:
-            yield s
-
-
 def compatible_preorders(P: FinitePoset):
     """All ordered set partitions of P's indices whose block order respects
     P: a strictly smaller element never sits in a strictly later block.
 
-    Blocks are chosen left to right, each one a step of `_down_steps` from
-    what the earlier blocks leave.
+    They are the weak down-set chains 0 < I_1 < ... < I_j = P that
+    `orderpoly._chain_sums` counts, listed by walking J(P) from the empty
+    set to each strictly larger down-set D in ascending mask order, so they
+    come in ascending order as tuples of block masks.
     """
-    preds = P.pred_masks
+    J = sorted(_down_sets(P.pred_masks, admissible_numbering(P).order))
 
-    def rec(remaining, blocks):
-        if remaining == 0:
+    def rec(k, blocks):
+        I = J[k]
+        if I == J[-1]:
             yield OrderedSetPartition(blocks)
-            return
-        for s in _down_steps(preds, remaining):
-            yield from rec(remaining & ~s, blocks + (tuple(_mask_bits(s)),))
+        for d in range(k + 1, len(J)):   # a strict superset is a larger mask
+            if J[d] & I == I:
+                yield from rec(d, blocks + (tuple(_mask_bits(J[d] ^ I)),))
 
-    yield from rec((1 << len(P)) - 1, ())
+    yield from rec(0, ())
 
 
 def _to_depth_zero(n: int, k: int, mode: str):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, MembershipError
 from .homs import MonotoneMap
-from .posets import FinitePoset, admissible_numbering
+from .posets import FinitePoset, _mask_bits, admissible_numbering
 
 __all__ = [
     "LexHomPoint",
@@ -147,9 +147,9 @@ def membership(P: FinitePoset, Q: FinitePoset, point: LexHomPoint, k: int) -> bo
     """
     vals = point.base.values
     n = len(P)
-    for i in range(n):
-        for j in range(n):
-            if P.less(i, j) and vals[i] != vals[j] and not Q.less(vals[i], vals[j]):
+    for i, succ in enumerate(P.succ_masks):
+        for j in _mask_bits(succ):
+            if vals[i] != vals[j] and not Q.less(vals[i], vals[j]):
                 return False
     order = admissible_numbering(P).order
     reals = point.reals
@@ -196,9 +196,12 @@ def backward_trace(P: FinitePoset, Q: FinitePoset, point: LexHomPoint):
     """Run the stages k = 1 .. n-1, collecting the point after each one.
 
     Entries claim stages 2, 3, ..., n; the last entry is backward's result.
-    The input needs only a weakly monotone base; reals are arbitrary.
+    The reals are arbitrary; a base that is not weakly monotone raises
+    MembershipError.
     """
     n = len(P)
+    if not membership(P, Q, point, 1):
+        raise MembershipError("base map is not weakly monotone")
     reals = list(point.reals)
     trace = []
     for k in range(1, n):

@@ -12,7 +12,8 @@ module: reciprocity is an identity between coefficient arrays.
 
 Down-set chains by a zeta transform (`_chain_sums`). The chains are
 multichains of the down-set lattice J(P) (Stanley, EC1 3.12), so they are
-counted on J(P), built once. Let f_j[I] count the chains of j blocks that
+counted on J(P), built once along the admissible numbering by
+`posets._down_sets`. Let f_j[I] count the chains of j blocks that
 end at the down-set I, with f_0[I] = [I == 0]. A chain of j + 1 blocks
 ending at I extends one of j blocks ending at a down-set I' < I; in strict
 mode I minus I' must be an antichain, that is a set of maximal elements of
@@ -40,8 +41,8 @@ from .errors import NotTotallyOrdered, OrdhomError
 from .homs import STRICT, WEAK, _check_mode
 # `chain` is not used here; bench/test_bench.py checks that the tracer
 # wraps it on this module, so the name stays bound
-from .posets import (FinitePoset, LexPoset, admissible_numbering, chain,  # noqa: F401
-                     euler_char)
+from .posets import (FinitePoset, LexPoset, _down_sets,  # noqa: F401
+                     admissible_numbering, chain, euler_char)
 
 __all__ = [
     "OrderPolynomial",
@@ -101,18 +102,6 @@ def _trim(coeffs):
     return tuple(coeffs)
 
 
-def _down_set_lattice(P: FinitePoset) -> list:
-    """The down-sets of P as masks, built along the admissible numbering:
-    each element x is added to every down-set already built that holds
-    all predecessors of x. The first is the empty set, the last is P."""
-    preds = P.pred_masks
-    J = [0]
-    for x in admissible_numbering(P).order:
-        bit = 1 << x
-        J += [I | bit for I in J if not preds[x] & ~I]
-    return J
-
-
 def _drop_steps(P: FinitePoset, J: list, mode: str) -> list:
     """The updates of one zeta-transform round, as pairs (i, k) of
     positions in J meaning g[i] += g[k], in reverse numbering order of the
@@ -150,7 +139,7 @@ def _chain_sums(P: FinitePoset, mode: str, top: int) -> list:
     kept = P._chains.get(mode, ())
     if len(kept) > top:
         return kept[:top + 1]
-    J = _down_set_lattice(P)
+    J = _down_sets(P.pred_masks, admissible_numbering(P).order)
     steps = _drop_steps(P, J, mode)
     f = [0] * len(J)
     f[0] = 1

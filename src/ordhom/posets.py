@@ -123,6 +123,18 @@ def _mask_bits(mask: int):
     return out
 
 
+def _down_sets(preds, order) -> list:
+    """The down-sets of the order with strict-predecessor masks ``preds``,
+    along its linear extension ``order``: each x joins every down-set built
+    so far that holds all predecessors of x. The first is empty, the last
+    is the whole set."""
+    J = [0]
+    for x in order:
+        bit = 1 << x
+        J += [I | bit for I in J if not preds[x] & ~I]
+    return J
+
+
 def _from_closure(elements, succ) -> FinitePoset:
     """Build a poset from already transitively closed, irreflexive successor
     masks. The covers are the comparabilities with no intermediate element,
@@ -253,19 +265,19 @@ def all_posets(n: int):
     m + 1 labels restricts to one order on the first m, and places label
     m + 1 above a down-set D and below an up-set U of it, where every
     element of D is below every element of U (so D and U are disjoint).
-    Every such pair (D, U) gives a new order. The orders are built level by
-    level up to n, then sorted and yielded in ascending order of their
-    relation bitmask: bit i*(n-1) + c is the pair (i, j), j the c-th
-    element other than i. The count grows as 1, 1, 3, 19, 219, 4231,
-    130023, ...
+    Every such pair (D, U) gives a new order. The up-sets are the down-sets
+    of the dual, along ascending successor count (x < y makes succ[x] a
+    strict superset of succ[y]). The orders are built level by level up to
+    n, then sorted and yielded in ascending order of their relation
+    bitmask: bit i*(n-1) + c is the pair (i, j), j the c-th element other
+    than i. The count grows as 1, 1, 3, 19, 219, 4231, 130023, ...
     """
     level = [()]
     for m in range(n):
         bit = 1 << m
         grown = []
         for succ in level:
-            ups = [U for U in range(bit)
-                   if not any(succ[i] & ~U for i in _mask_bits(U))]
+            ups = _down_sets(succ, sorted(range(m), key=lambda i: succ[i].bit_count()))
             for D in ((bit - 1) ^ U for U in ups):
                 above = bit - 1
                 for d in _mask_bits(D):

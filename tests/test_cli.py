@@ -78,16 +78,19 @@ def test_ordpoly_bad_eval(capsys, files):
 
 
 @pytest.mark.parametrize("t, refused", [("1e2200", False), ("1e-3000", False),
-                                        ("1e5000", True), ("1e1_000_000", True)])
+                                        ("1e5000", True), ("1e1_000_000", True),
+                                        pytest.param("1" * 5000, False, id="5000digits")])
 def test_ordpoly_huge_eval_is_an_error(capsys, files, t, refused):
     # 1e2200 and 1e-3000 parse, but the value has more digits than Python
     # prints; the larger exponents are refused before Fraction builds
-    # 10**exponent
+    # 10**exponent; 5,000 digits are past the digits int() reads
     code, out, err = run(capsys, ["ordpoly", files.chain2, "--mode", "weak", f"--eval={t}"])
     assert code == 1
     assert out == ""
     assert err.startswith("error: --eval ")
     assert ("exponent" in err) == refused
+    assert ("int-digit limit" in err) == (len(t) > 4300)
+    assert len(err) < 200
     code, rep, _ = run_json(capsys, ["ordpoly", files.chain2, "--mode", "weak",
                                      f"--eval={t}"])
     assert code == 1

@@ -27,6 +27,7 @@ from ordhom import (
     order_polynomial,
     random_poset,
 )
+from ordhom.orderpoly import _chain_sums
 
 from _corpus import posets, random_posets, small_posets
 
@@ -73,6 +74,9 @@ def test_compatible_preorders_counts():
     assert len(list(compatible_preorders(chain(3)))) == 4
     assert len(list(compatible_preorders(antichain(2)))) == 3
     assert len(list(compatible_preorders(antichain(3)))) == 13
+    # the Fubini numbers: every ordered set partition of an antichain
+    assert len(list(compatible_preorders(antichain(4)))) == 75
+    assert len(list(compatible_preorders(antichain(5)))) == 541
     assert [p.blocks for p in compatible_preorders(chain(0))] == [()]
 
 
@@ -86,6 +90,11 @@ def test_compatible_preorders_matches_oracle():
         blocks = [p.blocks for p in compatible_preorders(P)]
         assert len(set(blocks)) == len(blocks)
         assert set(blocks) == compatible_oracle(P, range(len(P)))
+        # they are the weak down-set chains that `_chain_sums` counts, in
+        # strictly increasing order as tuples of block masks
+        assert len(blocks) == sum(_chain_sums(P, WEAK, len(P)))
+        masks = [tuple(sum(1 << i for i in b) for b in bs) for bs in blocks]
+        assert all(a < b for a, b in zip(masks, masks[1:]))
 
 
 def test_euler_hom_real_known_values():
@@ -384,17 +393,17 @@ class _LatticeWatch:
         import ordhom.orderpoly as orderpoly
 
         self.lattices, self.steps = [], []
-        build, drop_steps = orderpoly._down_set_lattice, orderpoly._drop_steps
+        build, drop_steps = orderpoly._down_sets, orderpoly._drop_steps
 
-        def building(P):
-            self.lattices.append(build(P))
+        def building(preds, order):
+            self.lattices.append(build(preds, order))
             return self.lattices[-1]
 
         def stepping(P, J, mode):
             self.steps.append(_CountingSteps(drop_steps(P, J, mode)))
             return self.steps[-1]
 
-        monkeypatch.setattr(orderpoly, "_down_set_lattice", building)
+        monkeypatch.setattr(orderpoly, "_down_sets", building)
         monkeypatch.setattr(orderpoly, "_drop_steps", stepping)
 
     def clear(self):

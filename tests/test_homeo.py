@@ -168,6 +168,30 @@ def test_forward_rejects_non_member():
         forward(chain(2), chain(1), pt)
 
 
+@pytest.mark.parametrize("run", [backward, backward_trace])
+def test_backward_rejects_non_monotone_base(run):
+    # the reals are free, but the base must still be weakly monotone
+    pt = mk_point(chain(2), chain(2), (1, 0), (0.0, 0.0), 1)
+    with pytest.raises(MembershipError):
+        run(chain(2), chain(2), pt)
+
+
+def test_membership_base_check_matches_all_pairs():
+    def weakly_monotone(P, Q, vals):
+        n = len(P)
+        return all(vals[i] == vals[j] or Q.less(vals[i], vals[j])
+                   for i in range(n) for j in range(n) if P.less(i, j))
+
+    rng = random.Random(12)
+    Q = V
+    for seed in range(20):
+        P = random_poset(7, seed, 0.3)
+        for _ in range(50):
+            vals = tuple(rng.randrange(len(Q)) for _ in range(len(P)))
+            pt = mk_point(P, Q, vals, (0.0,) * len(P), 1)
+            assert membership(P, Q, pt, 1) == weakly_monotone(P, Q, vals)
+
+
 def test_forward_antichain_shifts_all_but_first():
     P, Q = antichain(3), chain(1)
     pt = mk_point(P, Q, (0, 0, 0), (2.0, -1.5, 0.25), 3)
