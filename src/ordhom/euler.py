@@ -137,7 +137,7 @@ def euler_hom_real(P: FinitePoset, k: int, mode: str) -> int:
     if k < 0:
         raise ValueError("k must be nonnegative")
     sign, mode = _to_depth_zero(len(P), k, mode)
-    return sign if mode == WEAK or not any(P.pred_masks) else 0
+    return sign * _chain_sums(P, mode, 1)[-1]
 
 
 def euler_hom(P: FinitePoset, Q: LexPoset, mode: str) -> int:

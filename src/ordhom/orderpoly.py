@@ -21,14 +21,15 @@ I. So f_(j+1) = g - f_j, where g[I] sums f_j[I'] over those I' <= I, and
 e_j = f_j[P].
 
 g is a zeta transform on J(P) (Bjorklund, Husfeldt, Kaski and Koivisto,
-SODA 2012). It starts as a copy of f_j and drops one element x at a time,
-in reverse numbering order. Weak: each I holding x adds g[I minus the
-up-set of x], the largest down-set inside I without x. Strict: each I in
-which x is maximal adds g[I minus x]. The elements dropped before x come
-later in the numbering, so none of them is below x; by induction, after
-the pass of x, g[I] sums f_j over the I' <= I whose difference with I lies
-among x and the elements after it, each I' once. A round costs one update
-per pair (x, I) with x in I.
+SODA 2012): a copy of f_j, then one pass per element x, where each I in
+which x is maximal adds g[I minus x], a down-set that I covers (Stanley,
+EC1 3.4). A pass never writes the g[I minus x] it reads. Weak mode runs
+the passes in numbering order: after those of the first r elements, g[I]
+sums f_j over the I' <= I whose difference with I lies among them; in the
+pass of x, an I' with x in I minus I' holds every element of I above x, as
+it comes later, so x is maximal in I. Strict mode runs them in reverse:
+no element passed before x is below x, so the differences are sets of
+maximal elements. A round costs one update per covering pair of J(P).
 """
 
 from __future__ import annotations
@@ -102,22 +103,19 @@ def _trim(coeffs):
     return tuple(coeffs)
 
 
-def _drop_steps(P: FinitePoset, J: list, mode: str) -> list:
+def _drop_steps(P: FinitePoset, J: list) -> list:
     """The updates of one zeta-transform round, as pairs (i, k) of
-    positions in J meaning g[i] += g[k], in reverse numbering order of the
-    element x they drop: k is J[i] minus the up-set of x, for every J[i]
-    holding x; in strict mode only where x is maximal in J[i], so that k
-    is J[i] minus x.
+    positions in J meaning g[i] += g[k]: k is J[i] minus x, for every J[i]
+    in which x is maximal, grouped by x in reverse numbering order. Strict
+    mode runs them in this order, weak mode reversed (module docstring).
     """
     at = {I: i for i, I in enumerate(J)}
     succs = P.succ_masks
-    weak = mode == WEAK
     steps = []
     for x in reversed(admissible_numbering(P).order):
         bit = 1 << x
-        keep = ~(succs[x] | bit)
-        steps += [(i, at[I & keep]) for i, I in enumerate(J)
-                  if I & bit and (weak or not I & succs[x])]
+        steps += [(i, at[I ^ bit]) for i, I in enumerate(J)
+                  if I & bit and not I & succs[x]]
     return steps
 
 
@@ -140,7 +138,9 @@ def _chain_sums(P: FinitePoset, mode: str, top: int) -> list:
     if len(kept) > top:
         return kept[:top + 1]
     J = _down_sets(P.pred_masks, admissible_numbering(P).order)
-    steps = _drop_steps(P, J, mode)
+    steps = _drop_steps(P, J)
+    if mode == WEAK:
+        steps.reverse()
     f = [0] * len(J)
     f[0] = 1
     e = [0]

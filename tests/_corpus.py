@@ -4,7 +4,9 @@ import random
 
 from hypothesis import strategies as st
 
-from ordhom import all_posets, antichain, build_poset, chain, random_poset
+from ordhom import (WEAK, admissible_numbering, all_posets, antichain,
+                    build_poset, chain, random_poset)
+from ordhom.posets import _down_sets
 
 
 def small_posets(max_n):
@@ -59,3 +61,32 @@ def posets(draw, max_n):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     covers = [(str(rank[i]), str(rank[j])) for i, j in pairs if draw(st.booleans())]
     return build_poset([str(x) for x in range(n)], covers)
+
+
+def two_list_chain_sums(P, mode, top):
+    """The vector (e_0, ..., e_top) that `orderpoly._chain_sums` returns,
+    by a second transform with one update list per mode, both run in
+    reverse numbering order. Weak mode adds g[I minus the up-set of x] for
+    every down-set I holding x; strict mode adds g[I minus x] only where x
+    is maximal in I. Every top, 0 and 1 too, runs its rounds, and nothing is
+    kept on P."""
+    order = admissible_numbering(P).order
+    J = _down_sets(P.pred_masks, order)
+    at = {I: i for i, I in enumerate(J)}
+    succs = P.succ_masks
+    steps = []
+    for x in reversed(order):
+        bit = 1 << x
+        keep = ~(succs[x] | bit)
+        steps += [(i, at[I & keep]) for i, I in enumerate(J)
+                  if I & bit and (mode == WEAK or not I & succs[x])]
+    f = [0] * len(J)
+    f[0] = 1
+    e = [f[-1]]
+    for _ in range(min(top, len(P))):
+        g = f[:]
+        for i, k in steps:
+            g[i] += g[k]
+        f = [a - b for a, b in zip(g, f)]
+        e.append(f[-1])
+    return e

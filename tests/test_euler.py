@@ -399,8 +399,8 @@ class _LatticeWatch:
             self.lattices.append(build(preds, order))
             return self.lattices[-1]
 
-        def stepping(P, J, mode):
-            self.steps.append(_CountingSteps(drop_steps(P, J, mode)))
+        def stepping(P, J):
+            self.steps.append(_CountingSteps(drop_steps(P, J)))
             return self.steps[-1]
 
         monkeypatch.setattr(orderpoly, "_down_sets", building)
@@ -427,14 +427,16 @@ def _is_down_set(P, mask):
     return not any(P.pred_masks[x] & ~mask for x in range(len(P)) if mask >> x & 1)
 
 
-def test_strict_steps_are_antichains(monkeypatch):
+@pytest.mark.parametrize("mode", [STRICT, WEAK])
+def test_every_step_drops_one_maximal_element(monkeypatch, mode):
     # a strict block has depth-0 weight 0 unless it is an antichain, so
     # every strict update drops one element x that is maximal in its
-    # down-set; a round's block is then a set of maximal elements
+    # down-set; a round's block is then a set of maximal elements. Weak
+    # mode runs the same updates, in the other pass order
     P = random_poset(8, 3, 0.2)
     assert P.covers
     watch = _LatticeWatch(monkeypatch)
-    euler_hom(P, LexPoset(chain(4), 2), STRICT)
+    euler_hom(P, LexPoset(chain(4), 2), mode)
     (J,), (steps,) = watch.lattices, watch.steps
     assert steps
     for i, k in steps:
@@ -448,8 +450,9 @@ def test_strict_steps_are_antichains(monkeypatch):
                          ids=["antichain6", "random8"])
 def test_no_up_set_walked_twice(monkeypatch, P, mode):
     # each down-set, the complement of an up-set, is built once, and each
-    # round updates it at most once per element x it holds: at most
-    # top * sum_x |{I in J : x in I}| updates in all
+    # round updates it once per maximal element x it holds, in both modes:
+    # top * (covering pairs of J) updates in all
+    P = build_poset(P.elements, P.covers)   # nothing kept from other cases
     watch = _LatticeWatch(monkeypatch)
     # the closed form reads the maps into R^k off the poset, building nothing
     euler_hom_real(P, 2, mode)
@@ -457,11 +460,15 @@ def test_no_up_set_walked_twice(monkeypatch, P, mode):
     top = 4
     euler_hom(P, LexPoset(chain(top), 2), mode)
     (J,), (steps,) = watch.lattices, watch.steps
-    assert 0 < steps.applied <= top * sum(I.bit_count() for I in J)
+    assert steps and steps.applied == top * len(steps)
+    assert len(steps) <= sum(I.bit_count() for I in J)
     assert len(set(J)) == len(J) == count_homs(P, chain(2), WEAK)
     assert all(_is_down_set(P, I) for I in J)
     # the dropped set J[i] minus J[k] has x as its one minimal element
     assert len({(i, J[i] & ~J[k]) for i, k in steps}) == len(steps)
+    other = WEAK if mode == STRICT else STRICT
+    euler_hom(P, LexPoset(chain(top), 2), other)
+    assert len(watch.steps) == 2 and len(watch.steps[1]) == len(steps)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])

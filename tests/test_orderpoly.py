@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from ordhom import (
     random_poset,
 )
 
-from _corpus import posets, random_posets, small_posets
+from _corpus import posets, random_posets, small_posets, two_list_chain_sums
 
 V = build_poset("abc", [("a", "b"), ("a", "c")])
 
@@ -159,6 +160,37 @@ def test_reciprocity_against_backtracker(P, m, mode):
     other = WEAK if mode == STRICT else STRICT
     assert (evaluate(order_polynomial(P, mode), -m)
             == (-1) ** len(P) * count_homs(P, chain(m), other))
+
+
+def _assert_one_list_matches_two(P):
+    # a fresh instance per call: a vector kept from an earlier top must
+    # not hide a wrong round
+    from ordhom.orderpoly import _chain_sums
+
+    for mode in (STRICT, WEAK):
+        for top in range(len(P) + 1):
+            fresh = build_poset(P.elements, P.covers)
+            assert _chain_sums(fresh, mode, top) == two_list_chain_sums(P, mode, top)
+
+
+def test_one_update_list_matches_two_list_oracle_small():
+    # weak mode runs the strict updates in the other pass order
+    for P in small_posets(5):
+        _assert_one_list_matches_two(P)
+
+
+@settings(derandomize=True, deadline=None)
+@given(posets(7))
+def test_one_update_list_matches_two_list_oracle(P):
+    _assert_one_list_matches_two(P)
+
+
+def test_tall_chain_polynomials():
+    # 60 passes, where their order matters most in weak mode
+    strict, weak = (order_polynomial(chain(60), mode) for mode in (STRICT, WEAK))
+    for t in (0, 1, 2, 3, 61):
+        assert evaluate(strict, t) == comb(t, 60)
+        assert evaluate(weak, t) == comb(t + 59, 60)
 
 
 def test_kept_chain_vector_is_copied_out():
