@@ -15,6 +15,8 @@ none are); composing with a fixed increasing bijection (f_k, oo) -> R frees
 the coordinate. The bijection is piecewise linear with breakpoints at
 f + 2**-i; its closed form and exact inverse live in lemma_phi and
 lemma_phi_inv. t_1 is never transformed: no earlier position can bound it.
+The forced positions depend on the base alone, so they are read once per
+call from P's predecessor masks; one stage loop serves both directions.
 
 Coordinate convention: reals[a] is the value at numbering position a
 (0-based), not at input element a. File I/O converts; see fileio.
@@ -23,6 +25,7 @@ Coordinate convention: reals[a] is the value at numbering position a
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import DomainError, MembershipError
@@ -62,8 +65,8 @@ class LexHomPoint:
 
 @dataclass(frozen=True)
 class UscSpec:
-    """The earlier positions that bound coordinate k+1 from below, plus the
-    bound itself: max of their reals, or -oo when there are none.
+    """The earlier positions that bound coordinate k+1 from below, ascending,
+    plus the bound itself: max of their reals, or -oo when there are none.
 
     positions is determined by the base map and k alone, never the reals.
     """
@@ -72,28 +75,23 @@ class UscSpec:
     value: float
 
 
-def usc_spec(point: LexHomPoint, k: int) -> UscSpec:
-    """Lower-bound data for coordinate k+1 at stage k (1 <= k <= n-1).
-
-    Collects the 0-based numbering positions a < k whose element lies
-    strictly below p_{k+1} with the same base value; the bound is the max
-    of the point's reals there.
-    """
-    P = point.base.source
+def _bounds(P: FinitePoset, values, ks) -> dict:
+    """usc_spec's positions at each stage in ks; each predecessor sits earlier."""
     order = admissible_numbering(P).order
-    if not 1 <= k <= len(order) - 1:
-        raise ValueError(f"stage k must be in [1, {len(order) - 1}], got {k}")
-    vals = point.base.values
-    tgt = order[k]
-    positions = []
-    best = NEG_INF
-    for a in range(k):
-        src = order[a]
-        if vals[src] == vals[tgt] and P.less(src, tgt):
-            positions.append(a)
-            if point.reals[a] > best:
-                best = point.reals[a]
-    return UscSpec(tuple(positions), best)
+    at = {idx: a for a, idx in enumerate(order)}
+    return {k: sorted(at[i] for i in _mask_bits(P.pred_masks[order[k]])
+                      if values[i] == values[order[k]]) for k in ks}
+
+
+def usc_spec(point: LexHomPoint, k: int) -> UscSpec:
+    """Lower-bound data for coordinate k+1 at stage k (1 <= k <= n-1): the
+    0-based numbering positions a < k whose element lies strictly below
+    p_{k+1} with the same base value, and the max of the reals there."""
+    P = point.base.source
+    if not 1 <= k <= len(P) - 1:
+        raise ValueError(f"stage k must be in [1, {len(P) - 1}], got {k}")
+    positions = _bounds(P, point.base.values, (k,))[k]
+    return UscSpec(tuple(positions), max((point.reals[a] for a in positions), default=NEG_INF))
 
 
 def usc_value(point: LexHomPoint, k: int) -> float:
@@ -161,6 +159,26 @@ def membership(P: FinitePoset, Q: FinitePoset, point: LexHomPoint, k: int) -> bo
     return True
 
 
+def _stages(P: FinitePoset, Q: FinitePoset, point: LexHomPoint, inverse: bool):
+    """Check the input, then run forward's stages, or backward's when inverse,
+    on one list of reals; yields the stage claimed and the list after each."""
+    if inverse:
+        if not membership(P, Q, point, 1):
+            raise MembershipError("base map is not weakly monotone")
+        ks, phi, shift = range(1, len(P)), lemma_phi_inv, 1
+    else:
+        if not membership(P, Q, point, len(P)):
+            raise MembershipError("point is not a strictly monotone map into the lex product")
+        ks, phi, shift = range(len(P) - 1, 0, -1), lemma_phi, 0
+    bounds = _bounds(P, point.base.values, ks)
+    reals = list(point.reals)
+    for k in ks:
+        reals[k] = phi(max((reals[a] for a in bounds[k]), default=NEG_INF), reals[k])
+        yield k + shift, reals
+    if not ks:
+        yield 1, reals  # n <= 1: X_1 is already the strict space
+
+
 def forward_trace(P: FinitePoset, Q: FinitePoset, point: LexHomPoint):
     """Run the stages k = n-1 .. 1, collecting the point after each one.
 
@@ -168,18 +186,8 @@ def forward_trace(P: FinitePoset, Q: FinitePoset, point: LexHomPoint):
     entry is forward's result. Raises MembershipError unless the input
     satisfies the full strict constraints.
     """
-    n = len(P)
-    if not membership(P, Q, point, n):
-        raise MembershipError("point is not a strictly monotone map into the lex product")
-    reals = list(point.reals)
-    trace = []
-    for k in range(n - 1, 0, -1):
-        cur = LexHomPoint(point.base, tuple(reals), k + 1)
-        reals[k] = lemma_phi(usc_value(cur, k), reals[k])
-        trace.append(LexHomPoint(point.base, tuple(reals), k))
-    if not trace:
-        trace.append(LexHomPoint(point.base, tuple(reals), 1))
-    return trace
+    return [LexHomPoint(point.base, tuple(reals), k)
+            for k, reals in _stages(P, Q, point, False)]
 
 
 def forward(P: FinitePoset, Q: FinitePoset, point: LexHomPoint) -> LexHomPoint:
@@ -189,7 +197,8 @@ def forward(P: FinitePoset, Q: FinitePoset, point: LexHomPoint) -> LexHomPoint:
     (position k+1) through lemma_phi with the bound read off the untouched
     earlier coordinates. The base map is returned untouched.
     """
-    return forward_trace(P, Q, point)[-1]
+    k, reals = deque(_stages(P, Q, point, False), maxlen=1)[0]
+    return LexHomPoint(point.base, tuple(reals), k)
 
 
 def backward_trace(P: FinitePoset, Q: FinitePoset, point: LexHomPoint):
@@ -199,18 +208,8 @@ def backward_trace(P: FinitePoset, Q: FinitePoset, point: LexHomPoint):
     The reals are arbitrary; a base that is not weakly monotone raises
     MembershipError.
     """
-    n = len(P)
-    if not membership(P, Q, point, 1):
-        raise MembershipError("base map is not weakly monotone")
-    reals = list(point.reals)
-    trace = []
-    for k in range(1, n):
-        cur = LexHomPoint(point.base, tuple(reals), k)
-        reals[k] = lemma_phi_inv(usc_value(cur, k), reals[k])
-        trace.append(LexHomPoint(point.base, tuple(reals), k + 1))
-    if not trace:
-        trace.append(LexHomPoint(point.base, tuple(reals), max(n, 1)))
-    return trace
+    return [LexHomPoint(point.base, tuple(reals), k)
+            for k, reals in _stages(P, Q, point, True)]
 
 
 def backward(P: FinitePoset, Q: FinitePoset, point: LexHomPoint) -> LexHomPoint:
@@ -219,4 +218,5 @@ def backward(P: FinitePoset, Q: FinitePoset, point: LexHomPoint) -> LexHomPoint:
     Inverse pass: each stage k rewrites reals[k] through lemma_phi_inv with
     the bound read off the already-restored earlier coordinates.
     """
-    return backward_trace(P, Q, point)[-1]
+    k, reals = deque(_stages(P, Q, point, True), maxlen=1)[0]
+    return LexHomPoint(point.base, tuple(reals), k)

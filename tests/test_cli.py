@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,12 +9,14 @@ from types import SimpleNamespace
 import pytest
 
 import ordhom.cli as cli
+from ordhom import chain, random_poset
 from ordhom.cli import main
 
 CHAIN1 = {"elements": ["1"]}
 CHAIN2 = {"elements": ["1", "2"], "covers": [["1", "2"]]}
 CHAIN3 = {"elements": ["1", "2", "3"], "covers": [["1", "2"], ["2", "3"]]}
 VPOSET = {"elements": ["a", "b", "c"], "covers": [["a", "b"], ["a", "c"]]}
+PINNED_BACKWARD_SHA256 = "cf8fecc4bd7c770646efe4683cbe70c2dbe3f17e8a50a22a684fc9fcc2433664"
 
 
 @pytest.fixture
@@ -333,6 +336,22 @@ def test_homeo_roundtrip_random_on_long_forced_chain(capsys, files):
     assert code == 0
     assert rep["result"]["points"] == 5
     assert rep["result"]["within_tolerance"] is True
+
+
+def test_homeo_random_backward_output_is_pinned(capsys, tmp_path, monkeypatch):
+    # sha256 of the --json stdout, recorded before the stage maps were
+    # rewritten around one stage loop; relative paths keep the bytes stable
+    def write_poset(name, P):
+        doc = {"elements": list(P.elements), "covers": [list(c) for c in P.covers]}
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+
+    write_poset("p12.json", random_poset(12, 5, 0.3))
+    write_poset("c3.json", chain(3))
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, ["homeo", "p12.json", "c3.json", "--random", "50",
+                                "--seed", "7", "--direction", "backward", "--json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_BACKWARD_SHA256
 
 
 def test_homeo_usage_errors(capsys, files):

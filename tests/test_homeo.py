@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import islice
 
 import pytest
 
@@ -217,6 +218,38 @@ def constrained_pairs(P, values):
     n = len(order)
     return [(a, b) for b in range(n) for a in range(b)
             if values[order[a]] == values[order[b]] and P.less(order[a], order[b])]
+
+
+def float_bits(point):
+    return [t.hex() for t in point.reals]
+
+
+@pytest.mark.parametrize("n", [0, 1, 10, 50, 200])
+def test_stages_match_traces_and_pair_oracle_at_larger_sizes(n):
+    rng = random.Random(n)
+    for seed, edge_prob in ((1, 0.3), (2, 0.05)):
+        P = random_poset(n, seed, edge_prob)
+        for Q in (chain(1), chain(3), V):
+            bases = list(islice(iter_hom_values(P, Q, WEAK), 200))
+            for _ in range(3):
+                values = bases[rng.randrange(len(bases))]
+                free = LexHomPoint(MonotoneMap(P, Q, values, WEAK),
+                                   tuple(rng.uniform(-60.0, 60.0) for _ in range(n)), 1)
+                bts = backward_trace(P, Q, free)
+                assert [p.stage for p in bts] == (list(range(2, n + 1)) or [1])
+                strict = backward(P, Q, free)
+                assert strict.stage == bts[-1].stage
+                assert float_bits(strict) == float_bits(bts[-1])
+                fts = forward_trace(P, Q, strict)
+                assert [p.stage for p in fts] == (list(range(n - 1, 0, -1)) or [1])
+                out = forward(P, Q, strict)
+                assert out.stage == fts[-1].stage
+                assert float_bits(out) == float_bits(fts[-1])
+                pairs = constrained_pairs(P, values)
+                for k in range(1, n):
+                    expect = tuple(a for a, b in pairs if b == k)
+                    assert usc_spec(strict, k).positions == expect
+                    assert usc_spec(free, k).positions == expect
 
 
 def sample_strict(P, Q, rng):
