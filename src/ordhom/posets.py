@@ -1,8 +1,9 @@
 """Finite posets, admissible numberings, and lexicographic real extensions.
 
-A finite poset is stored both as its Hasse diagram (cover pairs, for I/O)
-and as per-element bitmasks of its strict successors and predecessors (for
-O(1) order queries and the enumeration engines).
+A finite poset stores its order once, as per-element bitmasks of its strict
+successors and predecessors (for O(1) order queries and the enumeration
+engines). Its Hasse diagram (cover pairs, for I/O) is derived from the
+masks when read.
 `LexPoset` wraps a finite poset Q0 together with a depth k and denotes
 Q0 x R^k ordered lexicographically, leftmost coordinate most significant.
 Each application of `negate` appends one real coordinate; the Euler
@@ -36,7 +37,9 @@ class FinitePoset:
 
     Attributes:
         elements: tuple of element identifiers (opaque strings).
-        covers: tuple of (a, b) pairs, the transitive reduction of the order.
+        covers: read-only tuple of (a, b) pairs, the transitive reduction of
+            the order, computed from ``succ_masks`` on each read and listed
+            in row-major (i, j) order of element indices.
         pred_masks / succ_masks: per-element bitmasks of strict predecessors
             and successors; bit j of ``succ_masks[i]`` is set iff
             ``elements[i] < elements[j]`` strictly.
@@ -52,12 +55,11 @@ class FinitePoset:
     into a chain base read one vector per mode (n + 1 integers at most).
     """
 
-    __slots__ = ("elements", "covers", "_index", "pred_masks", "succ_masks",
+    __slots__ = ("elements", "_index", "pred_masks", "succ_masks",
                  "_numbering", "_chains")
 
-    def __init__(self, elements, covers, succ_masks):
+    def __init__(self, elements, succ_masks):
         self.elements = tuple(elements)
-        self.covers = tuple(covers)
         self._index = {e: i for i, e in enumerate(self.elements)}
         self.succ_masks = tuple(succ_masks)
         pred = [0] * len(self.elements)
@@ -67,6 +69,13 @@ class FinitePoset:
         self.pred_masks = tuple(pred)
         self._numbering = None   # filled in by admissible_numbering
         self._chains = {}        # filled in by orderpoly._chain_sums
+
+    @property
+    def covers(self) -> tuple:
+        # i < j is a cover iff no successor of i is a predecessor of j
+        names, pred = self.elements, self.pred_masks
+        return tuple((names[i], names[j]) for i, s in enumerate(self.succ_masks)
+                     for j in _mask_bits(s) if not s & pred[j])
 
     @property
     def strict_leq(self) -> tuple:
@@ -107,11 +116,18 @@ class FinitePoset:
 
     def restrict(self, indices) -> "FinitePoset":
         """Induced subposet on the given element indices (kept in ascending
-        index order)."""
+        index order).
+
+        Raises:
+            UnknownElement: an index repeats or is outside range(len(self)).
+        """
         idx = sorted(indices)
+        if len(set(idx)) < len(idx) or idx and not 0 <= idx[0] <= idx[-1] < len(self):
+            raise UnknownElement(f"restrict needs distinct indices in range({len(self)}), "
+                                 f"got {idx!r}")
         sub = [sum(1 << b for b, j in enumerate(idx) if self.succ_masks[i] >> j & 1)
                for i in idx]
-        return _from_closure([self.elements[i] for i in idx], sub)
+        return FinitePoset([self.elements[i] for i in idx], sub)
 
 
 def _mask_bits(mask: int):
@@ -135,24 +151,11 @@ def _down_sets(preds, order) -> list:
     return J
 
 
-def _from_closure(elements, succ) -> FinitePoset:
-    """Build a poset from already transitively closed, irreflexive successor
-    masks. The covers are the comparabilities with no intermediate element,
-    listed in row-major (i, j) order."""
-    covers = []
-    for i, s in enumerate(succ):
-        via = 0
-        for j in _mask_bits(s):
-            via |= succ[j]
-        covers.extend((elements[i], elements[j]) for j in _mask_bits(s & ~via))
-    return FinitePoset(elements, covers, succ)
-
-
 def build_poset(elements, covers) -> FinitePoset:
     """Construct a finite poset from element names and cover pairs.
 
     The cover list may be any relation whose transitive closure is a strict
-    order; the stored cover set is normalized to the transitive reduction.
+    order; the poset's ``covers`` are its transitive reduction.
 
     Raises:
         UnknownElement: a cover pair names a missing element, or names repeat.
@@ -179,19 +182,26 @@ def build_poset(elements, covers) -> FinitePoset:
                 succ[i] |= sk
     if any(s >> i & 1 for i, s in enumerate(succ)):
         raise CycleError("cover relation contains a cycle")
-    return _from_closure(elements, succ)
+    return FinitePoset(elements, succ)
+
+
+def _labels(n: int) -> list:
+    """Element names "1".."n" of the generated posets."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return [str(i + 1) for i in range(n)]
 
 
 def chain(n: int) -> FinitePoset:
     """The totally ordered poset on elements "1" < "2" < ... < "n"."""
-    elements = [str(i + 1) for i in range(n)]
+    elements = _labels(n)
     return build_poset(elements, [(elements[i], elements[i + 1])
                                   for i in range(n - 1)])
 
 
 def antichain(n: int) -> FinitePoset:
     """n pairwise incomparable elements."""
-    return build_poset([str(i + 1) for i in range(n)], [])
+    return build_poset(_labels(n), [])
 
 
 @dataclass(frozen=True)
@@ -271,7 +281,9 @@ def all_posets(n: int):
     n, then sorted and yielded in ascending order of their relation
     bitmask: bit i*(n-1) + c is the pair (i, j), j the c-th element other
     than i. The count grows as 1, 1, 3, 19, 219, 4231, 130023, ...
+    A negative n raises ValueError on the first ``next()``.
     """
+    elements = _labels(n)
     level = [()]
     for m in range(n):
         bit = 1 << m
@@ -290,9 +302,8 @@ def all_posets(n: int):
     level.sort(key=lambda succ: sum(
         ((s & (1 << i) - 1) | (s >> i + 1 << i)) << i * (n - 1)
         for i, s in enumerate(succ)))
-    elements = [str(i + 1) for i in range(n)]
     for succ in level:
-        yield _from_closure(elements, succ)
+        yield FinitePoset(elements, succ)
 
 
 def random_poset(n: int, seed: int, edge_prob: float = 0.5) -> FinitePoset:
@@ -302,10 +313,10 @@ def random_poset(n: int, seed: int, edge_prob: float = 0.5) -> FinitePoset:
     that order independently with probability ``edge_prob``, and takes the
     transitive closure. Reproducible from the seed alone.
     """
+    elements = _labels(n)
     rng = random.Random(seed)
     perm = list(range(n))
     rng.shuffle(perm)
-    elements = [str(i + 1) for i in range(n)]
     covers = []
     for a in range(n):
         for b in range(a + 1, n):

@@ -15,6 +15,7 @@ from ordhom import (
     LexPoset,
     admissible_numbering,
     antichain,
+    backward,
     backward_trace,
     build_poset,
     chain,
@@ -132,6 +133,17 @@ def _sample(P, bases, pair_table, rng):
             return LexHomPoint(bases[i], tuple(reals), max(len(P), 1))
 
 
+def _strictly_monotone(P, Q, point):
+    """Whether x < y in P always maps to a strictly smaller point of Q x R,
+    compared lexicographically pair by pair with no stage machinery."""
+    t = [0.0] * len(P)
+    for a, i in enumerate(admissible_numbering(P).order):
+        t[i] = point.reals[a]
+    v = point.base.values
+    return all(Q.less(v[i], v[j]) or (v[i] == v[j] and t[i] < t[j])
+               for i in range(len(P)) for j in range(len(P)) if P.less(i, j))
+
+
 def test_6_homeomorphism_roundtrip():
     pairs = [
         (chain(2), chain(1)),
@@ -142,7 +154,10 @@ def test_6_homeomorphism_roundtrip():
     rng = random.Random(505)
     points_per_pair = 10_000
     max_err = 0.0
-    bases_ok = stages_ok = True
+    bases_ok = stages_ok = free_ok = True
+    # free points (weak base, any reals) exercise backward alone, so a
+    # fault that forward and backward share cannot cancel out
+    free_rng = random.Random(606)
     for P, Q in pairs:
         bases = list(enumerate_homs(P, Q, WEAK))
         pair_table = [_constrained_pairs(P, b.values) for b in bases]
@@ -158,12 +173,17 @@ def test_6_homeomorphism_roundtrip():
                 bases_ok = False
             for s, t in zip(x.reals, y.reals):
                 max_err = max(max_err, abs(s - t))
-    ok = max_err <= ROUNDTRIP_TOLERANCE and bases_ok and stages_ok
+            free = LexHomPoint(bases[free_rng.randrange(len(bases))],
+                               tuple(free_rng.uniform(-10.0, 10.0) for _ in range(len(P))), 1)
+            if not _strictly_monotone(P, Q, backward(P, Q, free)):
+                free_ok = False
+    ok = max_err <= ROUNDTRIP_TOLERANCE and bases_ok and stages_ok and free_ok
     report(6, "homeomorphism_roundtrip", ok,
            f"{points_per_pair} points per pair on {len(pairs)} pairs, "
            f"max |roundtrip - identity| = {max_err:.3e} "
            f"(tolerance {ROUNDTRIP_TOLERANCE:.0e}), bases equal: {bases_ok}, "
-           f"all stages pass membership: {stages_ok}")
+           f"all stages pass membership: {stages_ok}, {points_per_pair} free "
+           f"points per pair map strictly monotone under backward: {free_ok}")
 
 
 def test_7_empty_strict_space_consistency():

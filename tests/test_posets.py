@@ -49,6 +49,46 @@ def test_closure_matches_oracle_on_random_posets():
         assert strict_pairs(P) == closure_oracle(P.elements, P.covers)
 
 
+def reduction_oracle(P):
+    """Pairs a < b with no c where a < c < b, by brute force over triples,
+    in row-major order of element indices."""
+    n = len(P)
+    return tuple((P.elements[a], P.elements[b]) for a in range(n) for b in range(n)
+                 if P.less(a, b) and not any(P.less(a, c) and P.less(c, b)
+                                             for c in range(n)))
+
+
+def test_covers_match_reduction_oracle_on_small_posets():
+    for n in range(6):
+        for P in all_posets(n):
+            assert P.covers == reduction_oracle(P)
+
+
+def test_covers_match_reduction_oracle_on_random_and_restricted_posets():
+    for n, p in ((6, 0.5), (9, 0.3), (12, 0.2), (12, 0.7)):
+        for seed in range(20):
+            P = random_poset(n, seed, p)
+            assert P.covers == reduction_oracle(P)
+            for keep in ([0], range(0, n, 2), range(n // 3, n), [n - 1, 1, 4]):
+                S = P.restrict(keep)
+                assert S.covers == reduction_oracle(S)
+
+
+def test_covers_drop_redundant_input_pairs():
+    # every comparability given as input still yields only the covers
+    for P in list(small_posets(4)) + random_posets(8, 20, seed=5):
+        full = build_poset(P.elements, sorted(strict_pairs(P)))
+        assert full.covers == P.covers == reduction_oracle(full)
+        assert full == P
+
+
+def test_covers_are_read_only():
+    P = chain(3)
+    assert P.covers == (("1", "2"), ("2", "3"))
+    with pytest.raises(AttributeError):
+        P.covers = ()
+
+
 def test_build_poset_three_element_chain_closure():
     P = build_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
     assert strict_pairs(P) == {("a", "b"), ("b", "c"), ("a", "c")}
@@ -83,6 +123,15 @@ def test_chain_and_antichain_shapes():
     assert len(chain(0)) == 0 and chain(0).is_chain()
 
 
+@pytest.mark.parametrize("make", [chain, antichain, lambda n: list(all_posets(n)),
+                                  lambda n: random_poset(n, 0)],
+                         ids=["chain", "antichain", "all_posets", "random_poset"])
+def test_negative_sizes_are_refused(make):
+    for n in (-1, -2):
+        with pytest.raises(ValueError):
+            make(n)
+
+
 def test_index_lookup():
     P = chain(2)
     assert P.index("2") == 1
@@ -95,6 +144,19 @@ def test_restrict_induces_subposet():
     S = P.restrict([0, 2, 3])
     assert S.elements == ("a", "c", "d")
     assert strict_pairs(S) == {("a", "c"), ("a", "d")}
+
+
+@pytest.mark.parametrize("indices", [[0, 0], [2, 1, 2], [-1], [5], [0, 3]],
+                         ids=["repeat", "repeat-unsorted", "negative", "far", "one-past"])
+def test_restrict_refuses_repeated_or_out_of_range_indices(indices):
+    with pytest.raises(UnknownElement):
+        chain(3).restrict(indices)
+
+
+def test_restrict_keeps_the_empty_and_full_index_sets():
+    P = build_poset(list("abc"), [("a", "b")])
+    assert len(P.restrict([])) == 0
+    assert P.restrict([2, 0, 1]) == P
 
 
 def test_equality_and_hash():
