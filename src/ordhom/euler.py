@@ -66,13 +66,13 @@ into every chain base, at any depth, read one vector per mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from .homs import STRICT, WEAK, _check_mode, count_homs
 from .orderpoly import _chain_sums
-from .posets import (FinitePoset, LexPoset, _down_sets, _mask_bits,
-                     admissible_numbering, negate)
+from .posets import (FinitePoset, LexPoset, _down_sets, _is_count,
+                     _mask_bits, admissible_numbering, negate)
 
 __all__ = [
     "OrderedSetPartition",
@@ -90,14 +90,15 @@ STRICT_TO_NEGATED_WEAK = "strict_to_negated_weak"
 NEGATED_STRICT_TO_WEAK = "negated_strict_to_weak"
 
 
-@dataclass(frozen=True)
-class OrderedSetPartition:
+class OrderedSetPartition(namedtuple("OrderedSetPartition", "blocks")):
     """Ordered disjoint blocks of element indices covering the whole poset.
 
     Block order is value order: earlier blocks carry smaller real values.
+    An immutable named tuple: iterable, and equal to the plain tuple
+    ``(blocks,)``.
     """
 
-    blocks: tuple
+    __slots__ = ()
 
 
 def compatible_preorders(P: FinitePoset):
@@ -134,8 +135,8 @@ def euler_hom_real(P: FinitePoset, k: int, mode: str) -> int:
     """Euler characteristic of the strict or weak monotone maps P -> R^k
     (lexicographic order, k real coordinates)."""
     _check_mode(mode)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    if not _is_count(k):
+        raise ValueError(f"k must be a nonnegative int, got {k!r}")
     sign, mode = _to_depth_zero(len(P), k, mode)
     return sign * _chain_sums(P, mode, 1)[-1]
 
@@ -158,14 +159,12 @@ def euler_hom(P: FinitePoset, Q: LexPoset, mode: str) -> int:
     return sign * sum(c * comb(m, j) for j, c in enumerate(e))
 
 
-@dataclass(frozen=True)
-class EulerReport:
-    """One side-by-side Euler characteristic comparison."""
+class EulerReport(namedtuple("EulerReport", "identity lhs rhs holds")):
+    """One side-by-side Euler characteristic comparison. An immutable named
+    tuple: iterable, and equal to the plain tuple
+    ``(identity, lhs, rhs, holds)``."""
 
-    identity: str
-    lhs: int
-    rhs: int
-    holds: bool
+    __slots__ = ()
 
 
 def _report(identity, lhs, rhs):

@@ -15,7 +15,7 @@ import math
 
 from .errors import FormatError, MembershipError
 from .homs import WEAK, MonotoneMap
-from .posets import FinitePoset, admissible_numbering, build_poset
+from .posets import FinitePoset, _is_count, admissible_numbering, build_poset
 from .homeo import LexHomPoint, membership
 
 __all__ = [
@@ -53,7 +53,7 @@ def load_poset(path) -> tuple[FinitePoset, int]:
             or not all(isinstance(c, list) and len(c) == 2
                        and all(isinstance(x, str) for x in c) for c in covers)):
         raise FormatError(f"{path}: 'covers' must be an array of string pairs")
-    if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
+    if not _is_count(depth):
         raise FormatError(f"{path}: 'depth' must be a nonnegative integer")
     return build_poset(elements, [tuple(c) for c in covers]), depth
 

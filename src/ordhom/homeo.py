@@ -25,11 +25,9 @@ Coordinate convention: reals[a] is the value at numbering position a
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 
 from .errors import DomainError, MembershipError
-from .homs import MonotoneMap
 from .posets import FinitePoset, _mask_bits, admissible_numbering
 
 __all__ = [
@@ -49,30 +47,29 @@ __all__ = [
 NEG_INF = float("-inf")
 
 
-@dataclass(frozen=True)
-class LexHomPoint:
-    """A base map with one real per element, tagged with the stage whose
-    constraints it claims to satisfy.
+class LexHomPoint(namedtuple("LexHomPoint", "base reals stage")):
+    """A base map (a `MonotoneMap`) with one real per element, tagged with
+    the stage whose constraints it claims to satisfy.
 
     reals are indexed by numbering position; stage k claims membership in
-    X_k (k = 1 claims nothing beyond a weakly monotone base).
+    X_k (k = 1 claims nothing beyond a weakly monotone base). An immutable
+    named tuple: iterable, and equal to the plain tuple
+    ``(base, reals, stage)``.
     """
 
-    base: MonotoneMap
-    reals: tuple
-    stage: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class UscSpec:
+class UscSpec(namedtuple("UscSpec", "positions value")):
     """The earlier positions that bound coordinate k+1 from below, ascending,
     plus the bound itself: max of their reals, or -oo when there are none.
 
     positions is determined by the base map and k alone, never the reals.
+    An immutable named tuple: iterable, and equal to the plain tuple
+    ``(positions, value)``.
     """
 
-    positions: tuple
-    value: float
+    __slots__ = ()
 
 
 def _bounds(P: FinitePoset, values, ks) -> dict:

@@ -16,7 +16,7 @@ are counts of base maps (see euler).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .posets import FinitePoset, admissible_numbering
 
@@ -27,19 +27,17 @@ STRICT = "strict"
 WEAK = "weak"
 
 
-@dataclass(frozen=True)
-class MonotoneMap:
+class MonotoneMap(namedtuple("MonotoneMap", "source target values mode")):
     """A monotone map between finite posets.
 
     ``values[i]`` is the target element index assigned to source element i
     (source input order). In strict mode comparable source pairs map to
     strictly comparable targets; in weak mode equal targets are also allowed.
+    An immutable named tuple: iterable, and equal to the plain tuple
+    ``(source, target, values, mode)``.
     """
 
-    source: FinitePoset
-    target: FinitePoset
-    values: tuple
-    mode: str
+    __slots__ = ()
 
     def image_elements(self) -> tuple:
         """Target element identifiers, one per source element."""

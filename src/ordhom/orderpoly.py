@@ -34,7 +34,7 @@ maximal elements. A round costs one update per covering pair of J(P).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
@@ -56,18 +56,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OrderPolynomial:
+class OrderPolynomial(namedtuple("OrderPolynomial",
+                                 "coefficients mode source_size")):
     """A univariate polynomial with exact rational coefficients.
 
     ``coefficients[d]`` is the coefficient of t**d. Trailing zeros are
     trimmed, so for a nonempty source poset the last coefficient is the
-    (nonzero) leading one and the degree equals the source size.
+    (nonzero) leading one and the degree equals the source size. An
+    immutable named tuple: iterable, and equal to the plain tuple
+    ``(coefficients, mode, source_size)``.
     """
 
-    coefficients: tuple
-    mode: str
-    source_size: int
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
@@ -194,20 +194,17 @@ def reflect(poly: OrderPolynomial) -> tuple:
                  for d, c in enumerate(poly.coefficients))
 
 
-@dataclass(frozen=True)
-class StanleyReport:
+class StanleyReport(namedtuple("StanleyReport", "holds strict weak lhs rhs")):
     """Outcome of the strict/weak order polynomial reciprocity check.
 
     ``lhs`` is the strict polynomial's coefficient array; ``rhs`` is the
     weak polynomial's, reflected through t -> -t and the size sign. Both
-    source polynomials are carried for inspection.
+    source polynomials are carried for inspection. An immutable named
+    tuple: iterable, and equal to the plain tuple
+    ``(holds, strict, weak, lhs, rhs)``.
     """
 
-    holds: bool
-    strict: OrderPolynomial
-    weak: OrderPolynomial
-    lhs: tuple
-    rhs: tuple
+    __slots__ = ()
 
 
 def check_stanley_reciprocity(P: FinitePoset) -> StanleyReport:

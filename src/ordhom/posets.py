@@ -13,7 +13,7 @@ characteristic picks up a factor of -1 per coordinate.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import CycleError, UnknownElement
 
@@ -204,15 +204,15 @@ def antichain(n: int) -> FinitePoset:
     return build_poset(_labels(n), [])
 
 
-@dataclass(frozen=True)
-class Numbering:
+class Numbering(namedtuple("Numbering", "order")):
     """A linear extension of a poset, as a permutation of element indices.
 
     ``order[a]`` is the element index placed at position a; for positions
-    a < b the element at b is never below the element at a.
+    a < b the element at b is never below the element at a. An immutable
+    named tuple: iterable, and equal to the plain tuple ``(order,)``.
     """
 
-    order: tuple
+    __slots__ = ()
 
 
 def admissible_numbering(P: FinitePoset) -> Numbering:
@@ -237,20 +237,27 @@ def admissible_numbering(P: FinitePoset) -> Numbering:
     return P._numbering
 
 
-@dataclass(frozen=True)
-class LexPoset:
+class LexPoset(namedtuple("LexPoset", "base depth", defaults=(0,))):
     """The poset ``base x R^depth`` with lexicographic order.
 
     Comparison is leftmost-significant: base first, then the real
-    coordinates in order. depth = 0 is order-isomorphic to ``base``.
+    coordinates in order. depth = 0 is order-isomorphic to ``base``; a
+    depth that is not a nonnegative int raises ValueError. An immutable
+    named tuple: iterable, and equal to the plain tuple ``(base, depth)``.
     """
 
-    base: FinitePoset
-    depth: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.depth < 0:
-            raise ValueError("depth must be nonnegative")
+    def __new__(cls, *args, **kwargs):
+        Q = super().__new__(cls, *args, **kwargs)
+        if not _is_count(Q.depth):
+            raise ValueError(f"depth must be a nonnegative int, got {Q.depth!r}")
+        return Q
+
+
+def _is_count(x) -> bool:
+    """True for an int >= 0 that is not a bool: a depth or a count of reals."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
 def negate(Q: LexPoset) -> LexPoset:

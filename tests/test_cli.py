@@ -165,6 +165,24 @@ def test_euler_at_large_depth(capsys, files):
         assert out == f"euler characteristic (weak, depth {depth}): {value}\n"
 
 
+def test_cli_import_loads_every_module_and_no_dataclasses():
+    # start-up: `import ordhom.cli` loads each library module (the
+    # benchmark's tracer wraps only loaded modules) but not `dataclasses`,
+    # whose import pulls in `inspect`, `ast`, `dis` and `tokenize`
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import json, sys; before = set(sys.modules); import ordhom.cli; "
+            "print(json.dumps(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert not loaded & {"dataclasses", "inspect"}
+    modules = {"ordhom." + p.stem for p in (src / "ordhom").glob("*.py")
+               if p.stem != "__init__"}
+    assert modules | {"ordhom"} <= loaded
+
+
 def test_closed_output_pipe_gives_no_traceback(files):
     # the reader of the JSON report is gone before the report is written,
     # as when ``| head`` has read its lines and exited

@@ -111,6 +111,12 @@ def test_euler_hom_real_known_values():
     assert euler_hom_real(antichain(3), 0, STRICT) == 1
 
 
+@pytest.mark.parametrize("k", [-1, 1.0, 0.5, True, None])
+def test_euler_hom_real_refuses_a_k_that_is_not_a_count(k):
+    with pytest.raises(ValueError, match="nonnegative int"):
+        euler_hom_real(chain(2), k, STRICT)
+
+
 def test_euler_hom_real_is_pure():
     a = euler_hom_real(V, 2, STRICT)
     assert euler_hom_real(V, 2, STRICT) == a

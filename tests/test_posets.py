@@ -210,6 +210,13 @@ def test_lex_poset_negation_and_euler():
         LexPoset(chain(1), -1)
 
 
+@pytest.mark.parametrize("depth", [0.5, 1.0, True, False, "1", None])
+def test_lex_poset_refuses_a_depth_that_is_not_an_int(depth):
+    # the rule of `fileio.load_poset`: an int >= 0, and not a bool
+    with pytest.raises(ValueError, match="nonnegative int"):
+        LexPoset(chain(2), depth)
+
+
 def test_all_posets_counts():
     # labeled posets on n elements (OEIS A001035)
     assert ([sum(1 for _ in all_posets(n)) for n in range(7)]
