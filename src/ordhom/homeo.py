@@ -15,8 +15,11 @@ none are); composing with a fixed increasing bijection (f_k, oo) -> R frees
 the coordinate. The bijection is piecewise linear with breakpoints at
 f + 2**-i; its closed form and exact inverse live in lemma_phi and
 lemma_phi_inv. t_1 is never transformed: no earlier position can bound it.
-The forced positions depend on the base alone, so they are read once per
-call from P's predecessor masks; one stage loop serves both directions.
+Since the base is weakly monotone, everything between two comparable
+same-valued elements shares their value. So one walk over P's covers per
+call checks the input and gives each stage's bound positions: on a strict
+prefix the max over the same-valued lower covers is f_k (Stanley, EC1 3.1).
+One stage loop serves both directions.
 
 Coordinate convention: reals[a] is the value at numbering position a
 (0-based), not at input element a. File I/O converts; see fileio.
@@ -28,7 +31,7 @@ import math
 from collections import deque, namedtuple
 
 from .errors import DomainError, MembershipError
-from .posets import FinitePoset, _mask_bits, admissible_numbering
+from .posets import FinitePoset, _cover_pairs, admissible_numbering
 
 __all__ = [
     "LexHomPoint",
@@ -72,14 +75,6 @@ class UscSpec(namedtuple("UscSpec", "positions value")):
     __slots__ = ()
 
 
-def _bounds(P: FinitePoset, values, ks) -> dict:
-    """usc_spec's positions at each stage in ks; each predecessor sits earlier."""
-    order = admissible_numbering(P).order
-    at = {idx: a for a, idx in enumerate(order)}
-    return {k: sorted(at[i] for i in _mask_bits(P.pred_masks[order[k]])
-                      if values[i] == values[order[k]]) for k in ks}
-
-
 def usc_spec(point: LexHomPoint, k: int) -> UscSpec:
     """Lower-bound data for coordinate k+1 at stage k (1 <= k <= n-1): the
     0-based numbering positions a < k whose element lies strictly below
@@ -87,8 +82,10 @@ def usc_spec(point: LexHomPoint, k: int) -> UscSpec:
     P = point.base.source
     if not 1 <= k <= len(P) - 1:
         raise ValueError(f"stage k must be in [1, {len(P) - 1}], got {k}")
-    positions = _bounds(P, point.base.values, (k,))[k]
-    return UscSpec(tuple(positions), max((point.reals[a] for a in positions), default=NEG_INF))
+    order, vals = admissible_numbering(P).order, point.base.values
+    positions = tuple(a for a in range(k) if vals[order[a]] == vals[order[k]]
+                      and P.less(order[a], order[k]))
+    return UscSpec(positions, max((point.reals[a] for a in positions), default=NEG_INF))
 
 
 def usc_value(point: LexHomPoint, k: int) -> float:
@@ -133,44 +130,50 @@ def lemma_phi_inv(f: float, s: float) -> float:
     return t
 
 
+def _constraints(P: FinitePoset, Q: FinitePoset, point: LexHomPoint, k: int):
+    """One walk over P's cover pairs: for each numbering position, the
+    positions of its lower covers with the same base value; None when the
+    point is not in X_k (a cover breaks weak monotonicity of the base, or a
+    same-valued cover inside the first k positions has unordered reals)."""
+    vals, reals = point.base.values, point.reals
+    # at[i] is the numbering position of element i
+    at = sorted(range(len(P)), key=admissible_numbering(P).order.__getitem__)
+    lower = [[] for _ in at]
+    for i, j in _cover_pairs(P):
+        a, b = at[i], at[j]
+        if vals[i] == vals[j]:
+            if b < k and not reals[a] < reals[b]:
+                return None
+            lower[b].append(a)
+        elif not Q.less(vals[i], vals[j]):
+            return None
+    return lower
+
+
 def membership(P: FinitePoset, Q: FinitePoset, point: LexHomPoint, k: int) -> bool:
-    """Direct check of the stage-k constraints (oracle role: shares no code
-    with the stage maps).
+    """Check of the stage-k constraints over the cover pairs alone.
 
     True iff the base values are weakly monotone and reals[a] < reals[b]
     for all positions a < b < k with p_(a) < p_(b) and equal base values.
     """
-    vals = point.base.values
-    n = len(P)
-    for i, succ in enumerate(P.succ_masks):
-        for j in _mask_bits(succ):
-            if vals[i] != vals[j] and not Q.less(vals[i], vals[j]):
-                return False
-    order = admissible_numbering(P).order
-    reals = point.reals
-    for b in range(min(k, n)):
-        for a in range(b):
-            if P.less(order[a], order[b]) and vals[order[a]] == vals[order[b]]:
-                if not reals[a] < reals[b]:
-                    return False
-    return True
+    return _constraints(P, Q, point, k) is not None
 
 
 def _stages(P: FinitePoset, Q: FinitePoset, point: LexHomPoint, inverse: bool):
     """Check the input, then run forward's stages, or backward's when inverse,
     on one list of reals; yields the stage claimed and the list after each."""
+    n = len(P)
+    lower = _constraints(P, Q, point, 1 if inverse else n)
+    if lower is None:
+        raise MembershipError("base map is not weakly monotone" if inverse else
+                              "point is not a strictly monotone map into the lex product")
     if inverse:
-        if not membership(P, Q, point, 1):
-            raise MembershipError("base map is not weakly monotone")
-        ks, phi, shift = range(1, len(P)), lemma_phi_inv, 1
+        ks, phi, shift = range(1, n), lemma_phi_inv, 1
     else:
-        if not membership(P, Q, point, len(P)):
-            raise MembershipError("point is not a strictly monotone map into the lex product")
-        ks, phi, shift = range(len(P) - 1, 0, -1), lemma_phi, 0
-    bounds = _bounds(P, point.base.values, ks)
+        ks, phi, shift = range(n - 1, 0, -1), lemma_phi, 0
     reals = list(point.reals)
     for k in ks:
-        reals[k] = phi(max((reals[a] for a in bounds[k]), default=NEG_INF), reals[k])
+        reals[k] = phi(max((reals[a] for a in lower[k]), default=NEG_INF), reals[k])
         yield k + shift, reals
     if not ks:
         yield 1, reals  # n <= 1: X_1 is already the strict space

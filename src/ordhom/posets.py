@@ -38,7 +38,7 @@ class FinitePoset:
     Attributes:
         elements: tuple of element identifiers (opaque strings).
         covers: read-only tuple of (a, b) pairs, the transitive reduction of
-            the order, computed from ``succ_masks`` on each read and listed
+            the order, named from ``_cover_pairs`` on each read and listed
             in row-major (i, j) order of element indices.
         pred_masks / succ_masks: per-element bitmasks of strict predecessors
             and successors; bit j of ``succ_masks[i]`` is set iff
@@ -72,10 +72,8 @@ class FinitePoset:
 
     @property
     def covers(self) -> tuple:
-        # i < j is a cover iff no successor of i is a predecessor of j
-        names, pred = self.elements, self.pred_masks
-        return tuple((names[i], names[j]) for i, s in enumerate(self.succ_masks)
-                     for j in _mask_bits(s) if not s & pred[j])
+        names = self.elements
+        return tuple((names[i], names[j]) for i, j in _cover_pairs(self))
 
     @property
     def strict_leq(self) -> tuple:
@@ -137,6 +135,14 @@ def _mask_bits(mask: int):
         out.append((mask & -mask).bit_length() - 1)
         mask &= mask - 1
     return out
+
+
+def _cover_pairs(P: FinitePoset) -> list:
+    """Index pairs (i, j) with j covering i, in row-major order: i < j is a
+    cover iff no successor of i is a predecessor of j."""
+    pred = P.pred_masks
+    return [(i, j) for i, s in enumerate(P.succ_masks)
+            for j in _mask_bits(s) if not s & pred[j]]
 
 
 def _down_sets(preds, order) -> list:

@@ -1,4 +1,5 @@
-"""Shared poset corpus for the polynomial, Euler and acceptance tests."""
+"""Shared poset corpus for the polynomial, Euler and acceptance tests, and
+the pairwise oracle for the homeomorphism's stage constraints."""
 
 import random
 
@@ -90,3 +91,27 @@ def two_list_chain_sums(P, mode, top):
         f = [a - b for a, b in zip(g, f)]
         e.append(f[-1])
     return e
+
+
+def constrained_pairs(P, values):
+    """Numbering positions a < b whose elements are comparable and share a
+    base value: every pair a stage constraint can bind, by a scan over all
+    position pairs."""
+    order = admissible_numbering(P).order
+    n = len(order)
+    return [(a, b) for b in range(n) for a in range(b)
+            if values[order[a]] == values[order[b]] and P.less(order[a], order[b])]
+
+
+def pairwise_member(P, Q, point, k):
+    """Whether the point lies in X_k, by a scan over all pairs and no cover
+    walk: the base is weakly monotone on every comparable pair, and
+    reals[a] < reals[b] on every constrained pair with b < k. At k = len(P)
+    this is strict monotonicity into Q x R, compared lexicographically."""
+    vals = point.base.values
+    n = len(P)
+    if not all(vals[i] == vals[j] or Q.less(vals[i], vals[j])
+               for i in range(n) for j in range(n) if P.less(i, j)):
+        return False
+    reals = point.reals
+    return all(reals[a] < reals[b] for a, b in constrained_pairs(P, vals) if b < k)

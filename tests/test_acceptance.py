@@ -13,7 +13,6 @@ from ordhom import (
     WEAK,
     LexHomPoint,
     LexPoset,
-    admissible_numbering,
     antichain,
     backward,
     backward_trace,
@@ -32,7 +31,8 @@ from ordhom import (
     random_poset,
 )
 
-from _corpus import named_five, random_posets, small_posets
+from _corpus import (constrained_pairs, named_five, pairwise_member, random_posets,
+                     small_posets)
 
 MODES = (STRICT, WEAK)
 SAMPLE_MARGIN = 2.0 ** -40
@@ -118,30 +118,12 @@ def test_5_components_versus_euler():
            f"side: {strict_side} component")
 
 
-def _constrained_pairs(P, values):
-    order = admissible_numbering(P).order
-    n = len(order)
-    return [(a, b) for b in range(n) for a in range(b)
-            if values[order[a]] == values[order[b]] and P.less(order[a], order[b])]
-
-
 def _sample(P, bases, pair_table, rng):
     while True:
         i = rng.randrange(len(bases))
         reals = [rng.uniform(-10.0, 10.0) for _ in range(len(P))]
         if all(reals[b] - reals[a] >= SAMPLE_MARGIN for a, b in pair_table[i]):
             return LexHomPoint(bases[i], tuple(reals), max(len(P), 1))
-
-
-def _strictly_monotone(P, Q, point):
-    """Whether x < y in P always maps to a strictly smaller point of Q x R,
-    compared lexicographically pair by pair with no stage machinery."""
-    t = [0.0] * len(P)
-    for a, i in enumerate(admissible_numbering(P).order):
-        t[i] = point.reals[a]
-    v = point.base.values
-    return all(Q.less(v[i], v[j]) or (v[i] == v[j] and t[i] < t[j])
-               for i in range(len(P)) for j in range(len(P)) if P.less(i, j))
 
 
 def test_6_homeomorphism_roundtrip():
@@ -160,13 +142,14 @@ def test_6_homeomorphism_roundtrip():
     free_rng = random.Random(606)
     for P, Q in pairs:
         bases = list(enumerate_homs(P, Q, WEAK))
-        pair_table = [_constrained_pairs(P, b.values) for b in bases]
+        pair_table = [constrained_pairs(P, b.values) for b in bases]
         for _ in range(points_per_pair):
             x = _sample(P, bases, pair_table, rng)
             fwd = forward_trace(P, Q, x)
             bwd = backward_trace(P, Q, fwd[-1])
             for pt in fwd + bwd:
-                if not membership(P, Q, pt, pt.stage):
+                if not (membership(P, Q, pt, pt.stage)
+                        and pairwise_member(P, Q, pt, pt.stage)):
                     stages_ok = False
             y = bwd[-1]
             if y.base.values != x.base.values:
@@ -175,15 +158,16 @@ def test_6_homeomorphism_roundtrip():
                 max_err = max(max_err, abs(s - t))
             free = LexHomPoint(bases[free_rng.randrange(len(bases))],
                                tuple(free_rng.uniform(-10.0, 10.0) for _ in range(len(P))), 1)
-            if not _strictly_monotone(P, Q, backward(P, Q, free)):
+            if not pairwise_member(P, Q, backward(P, Q, free), len(P)):
                 free_ok = False
     ok = max_err <= ROUNDTRIP_TOLERANCE and bases_ok and stages_ok and free_ok
     report(6, "homeomorphism_roundtrip", ok,
            f"{points_per_pair} points per pair on {len(pairs)} pairs, "
            f"max |roundtrip - identity| = {max_err:.3e} "
            f"(tolerance {ROUNDTRIP_TOLERANCE:.0e}), bases equal: {bases_ok}, "
-           f"all stages pass membership: {stages_ok}, {points_per_pair} free "
-           f"points per pair map strictly monotone under backward: {free_ok}")
+           f"all stages pass membership and the pairwise oracle: {stages_ok}, "
+           f"{points_per_pair} free points per pair map strictly monotone "
+           f"under backward: {free_ok}")
 
 
 def test_7_empty_strict_space_consistency():

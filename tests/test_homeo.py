@@ -7,10 +7,10 @@ import pytest
 from ordhom import (
     WEAK,
     DomainError,
+    FinitePoset,
     LexHomPoint,
     MembershipError,
     MonotoneMap,
-    admissible_numbering,
     antichain,
     backward,
     backward_trace,
@@ -27,6 +27,8 @@ from ordhom import (
     usc_spec,
     usc_value,
 )
+
+from _corpus import constrained_pairs, pairwise_member, small_posets
 
 NEG_INF = float("-inf")
 V = build_poset("abc", [("a", "b"), ("a", "c")])
@@ -178,11 +180,6 @@ def test_backward_rejects_non_monotone_base(run):
 
 
 def test_membership_base_check_matches_all_pairs():
-    def weakly_monotone(P, Q, vals):
-        n = len(P)
-        return all(vals[i] == vals[j] or Q.less(vals[i], vals[j])
-                   for i in range(n) for j in range(n) if P.less(i, j))
-
     rng = random.Random(12)
     Q = V
     for seed in range(20):
@@ -190,7 +187,7 @@ def test_membership_base_check_matches_all_pairs():
         for _ in range(50):
             vals = tuple(rng.randrange(len(Q)) for _ in range(len(P)))
             pt = mk_point(P, Q, vals, (0.0,) * len(P), 1)
-            assert membership(P, Q, pt, 1) == weakly_monotone(P, Q, vals)
+            assert membership(P, Q, pt, 1) == pairwise_member(P, Q, pt, 1)
 
 
 def test_forward_antichain_shifts_all_but_first():
@@ -211,13 +208,6 @@ def test_small_posets_identity():
     pt = mk_point(E, chain(1), (), (), 1)
     assert forward(E, chain(1), pt).reals == ()
     assert backward(E, chain(1), pt).reals == ()
-
-
-def constrained_pairs(P, values):
-    order = admissible_numbering(P).order
-    n = len(order)
-    return [(a, b) for b in range(n) for a in range(b)
-            if values[order[a]] == values[order[b]] and P.less(order[a], order[b])]
 
 
 def float_bits(point):
@@ -262,27 +252,6 @@ def sample_strict(P, Q, rng):
             return LexHomPoint(base, tuple(reals), max(len(P), 1))
 
 
-def as_lex_map(P, point):
-    """reals re-indexed by element for the pairwise comparison oracle."""
-    order = admissible_numbering(P).order
-    t = [0.0] * len(P)
-    for a, idx in enumerate(order):
-        t[idx] = point.reals[a]
-    return point.base.values, t
-
-
-def strictly_monotone_into_lex(P, Q, point):
-    """Pairwise lex comparison, no stage machinery involved."""
-    vals, t = as_lex_map(P, point)
-    for i in range(len(P)):
-        for j in range(len(P)):
-            if P.less(i, j):
-                ok = Q.less(vals[i], vals[j]) or (vals[i] == vals[j] and t[i] < t[j])
-                if not ok:
-                    return False
-    return True
-
-
 PAIRS = [(chain(2), chain(1)), (chain(3), chain(2)), (V, chain(2)),
          (antichain(2), chain(2))]
 
@@ -295,11 +264,13 @@ def test_roundtrip_with_stagewise_membership():
             fts = forward_trace(P, Q, x)
             for pt in fts:
                 assert membership(P, Q, pt, pt.stage)
+                assert pairwise_member(P, Q, pt, pt.stage)
             y = fts[-1]
             assert y.base.values == x.base.values
             bts = backward_trace(P, Q, y)
             for pt in bts:
                 assert membership(P, Q, pt, pt.stage)
+                assert pairwise_member(P, Q, pt, pt.stage)
             z = bts[-1]
             assert z.base.values == x.base.values
             err = max((abs(s - t) for s, t in zip(x.reals, z.reals)), default=0.0)
@@ -315,7 +286,7 @@ def test_backward_lands_in_strict_space():
             pt = LexHomPoint(base, tuple(rng.uniform(-10, 10) for _ in range(len(P))), 1)
             out = backward(P, Q, pt)
             assert membership(P, Q, out, len(P))
-            assert strictly_monotone_into_lex(P, Q, out)
+            assert pairwise_member(P, Q, out, len(P))
             assert out.base.values == base.values
 
 
@@ -348,3 +319,110 @@ def test_trace_shapes():
     assert [p.stage for p in fts] == [2, 1]
     bts = backward_trace(P, Q, fts[-1])
     assert [p.stage for p in bts] == [2, 3]
+
+
+def test_membership_matches_pairwise_oracle_on_small_posets():
+    # bases mostly weakly monotone, reals drawn with ties and nan, often
+    # sorted along the numbering so that both answers occur, at k = n and below
+    rng = random.Random(36)
+    pool = (-1.0, 0.0, 0.0, 1.0, 2.0, math.nan)
+    seen = set()
+    for P in small_posets(4):
+        n = len(P)
+        for Q in (chain(1), chain(2), V, antichain(2)):
+            weak = list(iter_hom_values(P, Q, WEAK))
+            for _ in range(3):
+                if rng.random() < 0.75:
+                    values = rng.choice(weak)
+                else:
+                    values = tuple(rng.randrange(len(Q)) for _ in range(n))
+                reals = [rng.choice(pool) for _ in range(n)]
+                if rng.random() < 0.5:
+                    reals.sort()
+                pt = mk_point(P, Q, values, reals, 1)
+                for k in range(n + 2):
+                    got = membership(P, Q, pt, k)
+                    assert got == pairwise_member(P, Q, pt, k), (P, Q, pt, k)
+                    seen.add((got, k == n))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("edge_prob", [0.3, 0.02])
+def test_membership_matches_pairwise_oracle_at_n200(edge_prob):
+    n = 200
+    rng = random.Random(round(edge_prob * 100))
+    P = random_poset(n, 5, edge_prob)
+    for Q in (chain(3), V):
+        bases = list(islice(iter_hom_values(P, Q, WEAK), 100))
+        for _ in range(2):
+            values = rng.choice(bases)
+            free = LexHomPoint(MonotoneMap(P, Q, values, WEAK),
+                               tuple(rng.uniform(-10.0, 10.0) for _ in range(n)), 1)
+            strict = backward(P, Q, free)
+            a, b = rng.choice(constrained_pairs(P, values))
+            tied, nan = list(strict.reals), list(strict.reals)
+            tied[b] = tied[a]
+            nan[rng.randrange(n)] = math.nan
+            moved = list(values)
+            moved[rng.randrange(n)] = rng.randrange(len(Q))
+            corrupted = [strict._replace(reals=tuple(tied)), strict._replace(reals=tuple(nan)),
+                         strict._replace(base=MonotoneMap(P, Q, tuple(moved), WEAK))]
+            assert not membership(P, Q, corrupted[0], n)
+            for pt in [free, strict] + corrupted:
+                for k in (b, b + 1, n):
+                    assert membership(P, Q, pt, k) == pairwise_member(P, Q, pt, k)
+
+
+@pytest.mark.parametrize("n", [2, 10, 50])
+def test_stage_bounds_match_usc_value(n):
+    # each stage rewrites one coordinate, through the bijection at the
+    # usc_spec bound of the point it starts from
+    rng = random.Random(n)
+    for seed, edge_prob in ((1, 0.3), (2, 0.05)):
+        P = random_poset(n, seed, edge_prob)
+        for Q in (chain(1), chain(3), V):
+            bases = list(islice(iter_hom_values(P, Q, WEAK), 200))
+            for _ in range(3):
+                prev = LexHomPoint(MonotoneMap(P, Q, rng.choice(bases), WEAK),
+                                   tuple(rng.uniform(-60.0, 60.0) for _ in range(n)), 1)
+                for inverse, trace in ((True, backward_trace), (False, forward_trace)):
+                    for pt in trace(P, Q, prev):
+                        k = pt.stage - 1 if inverse else pt.stage
+                        phi = lemma_phi_inv if inverse else lemma_phi
+                        expect = list(prev.reals)
+                        expect[k] = phi(usc_value(prev, k), prev.reals[k])
+                        assert float_bits(pt) == [t.hex() for t in expect]
+                        prev = pt
+
+
+class CountingPoset(FinitePoset):
+    """The same poset, counting its calls to `less`."""
+
+    def __init__(self, P):
+        super().__init__(P.elements, P.succ_masks)
+        self.less_calls = 0
+
+    def less(self, i, j):
+        self.less_calls += 1
+        return super().less(i, j)
+
+
+def test_homeo_reads_covers_not_pairs():
+    # a deterministic cost guard: no comparison of P, at most one of Q per cover
+    n = 200
+    P, Q = CountingPoset(random_poset(n, 5, 0.3)), CountingPoset(chain(3))
+    covers = len(P.covers)
+    values = list(islice(iter_hom_values(P, Q, WEAK), 50))[-1]
+    rng = random.Random(200)
+    free = LexHomPoint(MonotoneMap(P, Q, values, WEAK),
+                       tuple(rng.uniform(-10.0, 10.0) for _ in range(n)), 1)
+    strict = backward(P, Q, free)
+    runs = {"membership(1)": lambda: membership(P, Q, free, 1),
+            "membership(n)": lambda: membership(P, Q, strict, n),
+            "forward": lambda: forward(P, Q, strict),
+            "backward": lambda: backward(P, Q, free)}
+    for name, run in runs.items():
+        P.less_calls = Q.less_calls = 0
+        run()
+        assert P.less_calls == 0, name
+        assert 0 < Q.less_calls <= covers, name
