@@ -221,17 +221,20 @@ def cmd_homeo(args):
         outs = [backward(P, Q, x) for x in points]
         result["outputs"] = [point_to_dict(P, Q, y) for y in outs]
     else:
+        # max_error is absolute; each real is held to the tolerance
+        # relative to its size, with an absolute floor at 1
         max_error = 0.0
-        bases_equal = True
+        bases_equal = close = True
         for x in points:
             y = backward(P, Q, forward(P, Q, x))
             bases_equal = bases_equal and y.base.values == x.base.values
             for s, t in zip(x.reals, y.reals):
                 max_error = max(max_error, abs(s - t))
+                close = close and abs(s - t) <= ROUNDTRIP_TOLERANCE * max(1.0, abs(s))
         result["max_error"] = max_error
         result["tolerance"] = ROUNDTRIP_TOLERANCE
         result["base_maps_equal"] = bases_equal
-        result["within_tolerance"] = max_error <= ROUNDTRIP_TOLERANCE and bases_equal
+        result["within_tolerance"] = close and bases_equal
         if not result["within_tolerance"]:
             status = "error"
     return inputs, result, status

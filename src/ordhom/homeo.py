@@ -31,7 +31,7 @@ import math
 from collections import deque, namedtuple
 
 from .errors import DomainError, MembershipError
-from .posets import FinitePoset, _cover_pairs, admissible_numbering
+from .posets import FinitePoset, _cover_pairs, _is_count, admissible_numbering
 
 __all__ = [
     "LexHomPoint",
@@ -78,9 +78,11 @@ class UscSpec(namedtuple("UscSpec", "positions value")):
 def usc_spec(point: LexHomPoint, k: int) -> UscSpec:
     """Lower-bound data for coordinate k+1 at stage k (1 <= k <= n-1): the
     0-based numbering positions a < k whose element lies strictly below
-    p_{k+1} with the same base value, and the max of the reals there."""
+    p_{k+1} with the same base value, and the max of the reals there.
+    A k that is not an int in that range (a bool or a float too) raises
+    ValueError."""
     P = point.base.source
-    if not 1 <= k <= len(P) - 1:
+    if not (_is_count(k) and 1 <= k <= len(P) - 1):
         raise ValueError(f"stage k must be in [1, {len(P) - 1}], got {k}")
     order, vals = admissible_numbering(P).order, point.base.values
     positions = tuple(a for a in range(k) if vals[order[a]] == vals[order[k]]

@@ -6,8 +6,10 @@ the number of strict (weak) monotone maps from P into the t-chain. Such a
 map is a chain of j nonempty down-sets of P, the fibers in value order,
 placed on j of the t values: C(t, j) ways. So the polynomial is
 sum_j e_j C(t, j), where e_j counts those chains (in strict mode, those
-whose blocks are antichains), and they are converted here to power-basis
-coefficients over exact rationals. Floating point never enters this
+whose blocks are antichains). The sum is expanded into power-basis
+coefficients over exact rationals by Horner's rule in the Newton basis
+(Knuth, TAOCP vol. 2, 4.6.4; see `order_polynomial`), on integers until
+the one division by |P|! at the end. Floating point never enters this
 module: reciprocity is an identity between coefficient arrays.
 
 Down-set chains by a zeta transform (`_chain_sums`). The chains are
@@ -36,7 +38,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import factorial
 
 from .errors import NotTotallyOrdered, OrdhomError
 from .homs import STRICT, WEAK, _check_mode
@@ -60,10 +61,12 @@ class OrderPolynomial(namedtuple("OrderPolynomial",
                                  "coefficients mode source_size")):
     """A univariate polynomial with exact rational coefficients.
 
-    ``coefficients[d]`` is the coefficient of t**d. Trailing zeros are
-    trimmed, so for a nonempty source poset the last coefficient is the
-    (nonzero) leading one and the degree equals the source size. An
-    immutable named tuple: iterable, and equal to the plain tuple
+    ``coefficients[d]`` is the coefficient of t**d, and there are
+    source_size + 1 of them. The last is e_n / n!, where e_n counts the
+    linear extensions of the source in both modes (n singleton blocks are
+    antichains), so it is never zero: the degree equals the source size,
+    and the empty poset gives the constant 1. An immutable named tuple:
+    iterable, and equal to the plain tuple
     ``(coefficients, mode, source_size)``.
     """
 
@@ -94,13 +97,6 @@ class OrderPolynomial(namedtuple("OrderPolynomial",
         for sign, body in terms[1:]:
             out += f" {sign} {body}"
         return out
-
-
-def _trim(coeffs):
-    coeffs = list(coeffs)
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
 
 
 def _drop_steps(P: FinitePoset, J: list) -> list:
@@ -158,24 +154,24 @@ def order_polynomial(P: FinitePoset, mode: str) -> OrderPolynomial:
     """The order polynomial of P, sum_j e_j C(t, j) over the chains of
     down-sets of P, expanded exactly in the power basis.
 
-    C(t, j) is the falling factorial t (t-1) ... (t-j+1) over j!; all terms
-    are put over the common denominator |P|!.
+    The sum is read in nested Newton form, e_0 + t/1 (e_1 + (t-1)/2 (e_2
+    + ...)) (Knuth, TAOCP vol. 2, 4.6.4), over the common denominator n!
+    with n = |P|: B_n = e_n, B_j = (n!/j!) e_j + (t - j) B_(j+1), and the
+    polynomial is B_0 / n!. Each step multiplies by t - j, so only small
+    integers multiply the big coefficients.
     """
     _check_mode(mode)
     n = len(P)
     e = _chain_sums(P, mode, n)
-    denom = factorial(n)
-    numer = [0] * (n + 1)
-    falling = [1]   # coefficients of t (t-1) ... (t-j+1), constant first
-    for j, c in enumerate(e):
-        if j:
-            falling = [0] + falling
-            for d in range(j):
-                falling[d] -= (j - 1) * falling[d + 1]
-        scale = c * (denom // factorial(j))
-        for d, f in enumerate(falling):
-            numer[d] += scale * f
-    return OrderPolynomial(_trim(Fraction(x, denom) for x in numer), mode, n)
+    numer = [e[n]]   # B_(j+1), constant first
+    denom = 1        # n!/j!, and n! after the last step
+    for j in range(n - 1, -1, -1):
+        denom *= j + 1
+        numer = [0] + numer
+        for d in range(n - j):
+            numer[d] -= j * numer[d + 1]
+        numer[0] += denom * e[j]
+    return OrderPolynomial(tuple(Fraction(x, denom) for x in numer), mode, n)
 
 
 def evaluate(poly: OrderPolynomial, t) -> Fraction:
@@ -213,7 +209,7 @@ def check_stanley_reciprocity(P: FinitePoset) -> StanleyReport:
     strict = order_polynomial(P, STRICT)
     weak = order_polynomial(P, WEAK)
     lhs = strict.coefficients
-    rhs = _trim(reflect(weak))
+    rhs = reflect(weak)
     return StanleyReport(lhs == rhs, strict, weak, lhs, rhs)
 
 

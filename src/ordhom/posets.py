@@ -260,6 +260,11 @@ class LexPoset(namedtuple("LexPoset", "base depth", defaults=(0,))):
             raise ValueError(f"depth must be a nonnegative int, got {Q.depth!r}")
         return Q
 
+    @classmethod
+    def _make(cls, iterable):
+        # the named tuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
+
 
 def _is_count(x) -> bool:
     """True for an int >= 0 that is not a bool: a depth or a count of reals."""

@@ -1,7 +1,10 @@
-"""Shared poset corpus for the polynomial, Euler and acceptance tests, and
-the pairwise oracle for the homeomorphism's stage constraints."""
+"""Shared poset corpus for the polynomial, Euler and acceptance tests, the
+falling-factorial oracle for the order polynomial's coefficients, and the
+pairwise oracle for the homeomorphism's stage constraints."""
 
 import random
+from fractions import Fraction
+from math import factorial
 
 from hypothesis import strategies as st
 
@@ -91,6 +94,27 @@ def two_list_chain_sums(P, mode, top):
         f = [a - b for a, b in zip(g, f)]
         e.append(f[-1])
     return e
+
+
+def power_basis_coefficients(e):
+    """The power-basis coefficients of sum_j e[j] C(t, j), constant first,
+    by a table of falling factorials t (t-1) ... (t-j+1) over the common
+    denominator n!, n = len(e) - 1, with one factorial per term: the
+    assembly `orderpoly.order_polynomial` used before its Newton-form
+    recurrence. Nothing is trimmed."""
+    n = len(e) - 1
+    denom = factorial(n)
+    numer = [0] * (n + 1)
+    falling = [1]   # coefficients of t (t-1) ... (t-j+1), constant first
+    for j, c in enumerate(e):
+        if j:
+            falling = [0] + falling
+            for d in range(j):
+                falling[d] -= (j - 1) * falling[d + 1]
+        scale = c * (denom // factorial(j))
+        for d, f in enumerate(falling):
+            numer[d] += scale * f
+    return tuple(Fraction(x, denom) for x in numer)
 
 
 def constrained_pairs(P, values):

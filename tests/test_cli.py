@@ -356,6 +356,42 @@ def test_homeo_roundtrip_random_on_long_forced_chain(capsys, files):
     assert rep["result"]["within_tolerance"] is True
 
 
+def test_homeo_roundtrip_holds_large_reals_to_a_relative_tolerance(capsys, files):
+    # one ulp near 2^24 is about 1.9e-9, over the absolute 1e-9
+    antichain2 = files.write("antichain2.json", {"elements": ["1", "2"]})
+    pt = files.write("pt.json", {"base": ["1", "1"], "reals": [0.0, 16777215.9]})
+    argv = ["homeo", antichain2, files.chain1, pt, "--direction", "roundtrip"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert "within tolerance: yes" in out
+    code, rep, _ = run_json(capsys, argv)
+    assert code == 0 and rep["status"] == "ok"
+    res = rep["result"]
+    assert set(res) == {"direction", "points", "max_error", "tolerance",
+                        "base_maps_equal", "within_tolerance"}
+    assert res["tolerance"] == 1e-9 < res["max_error"]
+
+
+def test_homeo_roundtrip_fails_on_a_relative_error(capsys, files, monkeypatch):
+    real_backward = cli.backward
+
+    def drifting_backward(P, Q, x):
+        y = real_backward(P, Q, x)
+        return y._replace(reals=y.reals[:-1] + (y.reals[-1] * (1 + 1e-6),))
+
+    monkeypatch.setattr(cli, "backward", drifting_backward)
+    antichain2 = files.write("antichain2.json", {"elements": ["1", "2"]})
+    pt = files.write("pt.json", {"base": ["1", "1"], "reals": [0.0, 5000.0]})
+    argv = ["homeo", antichain2, files.chain1, pt, "--direction", "roundtrip"]
+    code, out, _ = run(capsys, argv)
+    assert code == 1
+    assert "within tolerance: no" in out
+    code, rep, _ = run_json(capsys, argv)
+    assert code == 1 and rep["status"] == "error"
+    assert rep["result"]["within_tolerance"] is False
+    assert rep["result"]["base_maps_equal"] is True
+
+
 def test_homeo_random_backward_output_is_pinned(capsys, tmp_path, monkeypatch):
     # sha256 of the --json stdout, recorded before the stage maps were
     # rewritten around one stage loop; relative paths keep the bytes stable

@@ -140,11 +140,13 @@ def test_usc_positions_ignore_reals():
 
 
 def test_usc_stage_bounds():
+    # a stage that is not an int gets the same ValueError as one out of
+    # range, never range's TypeError, and True is not read as stage 1
     pt = mk_point(chain(2), chain(1), (0, 0), (0.0, 1.0), 2)
-    with pytest.raises(ValueError):
-        usc_value(pt, 0)
-    with pytest.raises(ValueError):
-        usc_value(pt, 2)
+    for k in (0, 2, 1.5, 1.0, True, "1", None):
+        with pytest.raises(ValueError, match="stage k must be in"):
+            usc_value(pt, k)
+    assert usc_spec(pt, 1) == ((0,), 0.0)
 
 
 def test_membership_examples():

@@ -24,7 +24,8 @@ from ordhom import (
     random_poset,
 )
 
-from _corpus import posets, random_posets, small_posets, two_list_chain_sums
+from _corpus import (posets, power_basis_coefficients, random_posets,
+                     small_posets, two_list_chain_sums)
 
 V = build_poset("abc", [("a", "b"), ("a", "c")])
 
@@ -186,11 +187,34 @@ def test_one_update_list_matches_two_list_oracle(P):
 
 
 def test_tall_chain_polynomials():
-    # 60 passes, where their order matters most in weak mode
-    strict, weak = (order_polynomial(chain(60), mode) for mode in (STRICT, WEAK))
-    for t in (0, 1, 2, 3, 61):
-        assert evaluate(strict, t) == comb(t, 60)
-        assert evaluate(weak, t) == comb(t + 59, 60)
+    # n passes, where their order matters most in weak mode
+    for n in (60, 400):
+        strict, weak = (order_polynomial(chain(n), mode) for mode in (STRICT, WEAK))
+        for t in (0, 1, 2, 3, n + 1):
+            assert evaluate(strict, t) == comb(t, n)
+            assert evaluate(weak, t) == comb(t + n - 1, n)
+
+
+def _newton_inputs():
+    yield from small_posets(5)
+    yield from (chain(n) for n in [*range(21), 50, 100, 200])
+    yield from (antichain(n) for n in range(13))
+    for n in range(8, 15):
+        yield from random_posets(n, 3, seed=n)
+
+
+def test_newton_recurrence_matches_falling_factorial_oracle():
+    # the nested Newton form against the falling-factorial table it
+    # replaced, on the same e vector; neither trims, so the leading
+    # coefficient is compared too
+    from ordhom.orderpoly import _chain_sums
+
+    for P in _newton_inputs():
+        for mode in (STRICT, WEAK):
+            poly = order_polynomial(P, mode)
+            e = _chain_sums(P, mode, len(P))
+            assert poly.coefficients == power_basis_coefficients(e)
+            assert poly.coefficients[-1] != 0
 
 
 def test_kept_chain_vector_is_copied_out():

@@ -81,3 +81,10 @@ def test_lex_poset_depth_default_and_check():
     assert LexPoset(base=P, depth=3) == LexPoset(P, 3)
     with pytest.raises(ValueError):
         LexPoset(P, -1)
+    # _make and _replace check the depth as the constructor does
+    with pytest.raises(ValueError):
+        LexPoset(P)._replace(depth=-1)
+    with pytest.raises(ValueError):
+        LexPoset._make([P, "x"])
+    assert LexPoset(P)._replace(depth=2) == LexPoset._make([P, 2]) == LexPoset(P, 2)
+    assert type(LexPoset._make([P, 2])) is LexPoset
