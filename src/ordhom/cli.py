@@ -5,6 +5,10 @@ Exit codes: 0 when the command succeeds (and any checked identity holds),
 2 when a checking command finds its identity violated, 1 on operational
 errors (unreadable files, schema violations, unsupported flags, an output
 pipe closed early). Report schemas are documented in FORMATS.md.
+
+Each handler returns its result and status; `_run` adds the report's
+`inputs`, one entry per file argument (`P`, `Q`, `point`) the command was
+given, with its path and the sha256 of its bytes.
 """
 
 from __future__ import annotations
@@ -42,16 +46,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _digest_entry(path):
-    return {"path": str(path), "sha256": file_digest(path)}
-
-
-def _poset_arg(path, role, want_depth_zero=True):
+def _poset_arg(path, role):
     P, depth = load_poset(path)
-    if want_depth_zero and depth != 0:
+    if depth != 0:
         raise DepthUnsupported(
             f"{role} poset file {path} has depth {depth}; this command needs depth 0")
-    return P, depth
+    return P
 
 
 def _yesno(flag: bool) -> str:
@@ -59,20 +59,19 @@ def _yesno(flag: bool) -> str:
 
 
 def cmd_homcount(args):
-    P, _ = _poset_arg(args.P, "source")
-    Q, _ = _poset_arg(args.Q, "target")
+    P = _poset_arg(args.P, "source")
+    Q = _poset_arg(args.Q, "target")
     if args.list:
         maps = [[Q.elements[v] for v in values]
                 for values in iter_hom_values(P, Q, args.mode)]
         result = {"mode": args.mode, "count": len(maps), "maps": maps}
     else:
         result = {"mode": args.mode, "count": count_homs(P, Q, args.mode)}
-    inputs = {"P": _digest_entry(args.P), "Q": _digest_entry(args.Q)}
-    return inputs, result, "ok"
+    return result, "ok"
 
 
 def cmd_ordpoly(args):
-    P, _ = _poset_arg(args.P, "source")
+    P = _poset_arg(args.P, "source")
     poly = order_polynomial(P, args.mode)
     result = {
         "mode": args.mode,
@@ -87,7 +86,7 @@ def cmd_ordpoly(args):
         except ValueError:   # past Python's limit on int-to-text digits
             raise UsageError(f"--eval {_clip(args.eval)}: t or the value has too "
                              "many digits to print") from None
-    return {"P": _digest_entry(args.P)}, result, "ok"
+    return result, "ok"
 
 
 def _eval_point(text):
@@ -116,7 +115,7 @@ def _clip(text):
 
 
 def cmd_reciprocity(args):
-    P, _ = _poset_arg(args.P, "source")
+    P = _poset_arg(args.P, "source")
     rep = check_stanley_reciprocity(P)
     result = {
         "holds": rep.holds,
@@ -126,11 +125,11 @@ def cmd_reciprocity(args):
         "rhs": [str(c) for c in rep.rhs],
     }
     status = "ok" if rep.holds else "theorem-violated"
-    return {"P": _digest_entry(args.P)}, result, status
+    return result, status
 
 
 def _lex_target(args):
-    Q, file_depth = _poset_arg(args.Q, "target", want_depth_zero=False)
+    Q, file_depth = load_poset(args.Q)
     depth = args.depth if args.depth is not None else file_depth
     if depth < 0:
         raise UsageError("--depth must be nonnegative")
@@ -138,16 +137,15 @@ def _lex_target(args):
 
 
 def cmd_euler(args):
-    P, _ = _poset_arg(args.P, "source")
+    P = _poset_arg(args.P, "source")
     target = _lex_target(args)
     value = euler_hom(P, target, args.mode)
     result = {"mode": args.mode, "depth": target.depth, "euler": value}
-    inputs = {"P": _digest_entry(args.P), "Q": _digest_entry(args.Q)}
-    return inputs, result, "ok"
+    return result, "ok"
 
 
 def cmd_euler_reciprocity(args):
-    P, _ = _poset_arg(args.P, "source")
+    P = _poset_arg(args.P, "source")
     target = _lex_target(args)
     first, second = check_euler_reciprocity(P, target)
     holds = first.holds and second.holds
@@ -170,8 +168,7 @@ def cmd_euler_reciprocity(args):
             "strict_product_space": count_homs(P, target.base, STRICT),
         }
     status = "ok" if holds else "theorem-violated"
-    inputs = {"P": _digest_entry(args.P), "Q": _digest_entry(args.Q)}
-    return inputs, result, status
+    return result, status
 
 
 def _random_free_points(P, Q, count, rng):
@@ -186,10 +183,9 @@ def _random_free_points(P, Q, count, rng):
 
 
 def cmd_homeo(args):
-    P, _ = _poset_arg(args.P, "source")
-    Q, _ = _poset_arg(args.Q, "target")
+    P = _poset_arg(args.P, "source")
+    Q = _poset_arg(args.Q, "target")
     n = len(P)
-    inputs = {"P": _digest_entry(args.P), "Q": _digest_entry(args.Q)}
     if (args.point is None) == (args.random is None):
         raise UsageError("supply exactly one of a point file or --random N")
     if args.random is not None and args.seed is None:
@@ -198,7 +194,6 @@ def cmd_homeo(args):
     if args.point is not None:
         stage = 1 if args.direction == "backward" else max(n, 1)
         points = [load_point(args.point, P, Q, stage)]
-        inputs["point"] = _digest_entry(args.point)
     else:
         if args.random < 0:
             raise UsageError("--random expects a nonnegative count")
@@ -212,13 +207,12 @@ def cmd_homeo(args):
         result["seed"] = args.seed
     status = "ok"
 
-    if args.direction == "forward":
-        outs = [forward(P, Q, x) for x in points]
-        result["base_preserved"] = all(
-            y.base.values == x.base.values for x, y in zip(points, outs))
-        result["outputs"] = [point_to_dict(P, Q, y) for y in outs]
-    elif args.direction == "backward":
-        outs = [backward(P, Q, x) for x in points]
+    if args.direction != "roundtrip":
+        stage_map = forward if args.direction == "forward" else backward
+        outs = [stage_map(P, Q, x) for x in points]
+        if args.direction == "forward":
+            result["base_preserved"] = all(
+                y.base.values == x.base.values for x, y in zip(points, outs))
         result["outputs"] = [point_to_dict(P, Q, y) for y in outs]
     else:
         # max_error is absolute; each real is held to the tolerance
@@ -237,7 +231,7 @@ def cmd_homeo(args):
         result["within_tolerance"] = close and bases_equal
         if not result["within_tolerance"]:
             status = "error"
-    return inputs, result, status
+    return result, status
 
 
 def _render(command, report):
@@ -295,20 +289,17 @@ def _build_parser():
     p.add_argument("Q")
     p.add_argument("--mode", choices=[STRICT, WEAK], required=True)
     p.add_argument("--list", action="store_true", help="also print every map")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_homcount)
 
     p = sub.add_parser("ordpoly", help="order polynomial of a poset")
     p.add_argument("P")
     p.add_argument("--mode", choices=[STRICT, WEAK], required=True)
     p.add_argument("--eval", metavar="T", help="evaluate at a rational point")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_ordpoly)
 
     p = sub.add_parser("reciprocity",
                        help="check the strict/weak order polynomial identity")
     p.add_argument("P")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_reciprocity)
 
     p = sub.add_parser("euler",
@@ -317,7 +308,6 @@ def _build_parser():
     p.add_argument("Q")
     p.add_argument("--depth", type=int, help="override the target file's depth")
     p.add_argument("--mode", choices=[STRICT, WEAK], required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_euler)
 
     p = sub.add_parser("euler-reciprocity",
@@ -327,7 +317,6 @@ def _build_parser():
     p.add_argument("--depth", type=int, help="override the target file's depth")
     p.add_argument("--components", action="store_true",
                    help="also count connected components (depth 1 only)")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_euler_reciprocity)
 
     p = sub.add_parser("homeo",
@@ -340,8 +329,9 @@ def _build_parser():
     p.add_argument("--seed", type=int)
     p.add_argument("--direction", choices=["forward", "backward", "roundtrip"],
                    required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_homeo)
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 
@@ -362,14 +352,16 @@ def _run(argv) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    json_out = getattr(args, "json", False)
     try:
-        inputs, result, status = args.handler(args)
+        result, status = args.handler(args)
+        inputs = {role: {"path": str(path), "sha256": file_digest(path)}
+                  for role in ("P", "Q", "point")
+                  if (path := getattr(args, role, None)) is not None}
     except (OrdhomError, OSError) as exc:
-        return _emit_error(args.command, json_out, exc)
+        return _emit_error(args.command, args.json, exc)
     report = {"command": args.command, "inputs": inputs,
               "result": result, "status": status}
-    if json_out:
+    if args.json:
         print(json.dumps(report, indent=2))
     else:
         _render(args.command, report)

@@ -71,8 +71,8 @@ from math import comb
 
 from .homs import STRICT, WEAK, _check_mode, count_homs
 from .orderpoly import _chain_sums
-from .posets import (FinitePoset, LexPoset, _down_sets, _is_count,
-                     _mask_bits, admissible_numbering, negate)
+from .posets import (FinitePoset, LexPoset, _down_sets, _mask_bits,
+                     admissible_numbering, chain, negate)
 
 __all__ = [
     "OrderedSetPartition",
@@ -133,12 +133,9 @@ def _to_depth_zero(n: int, k: int, mode: str):
 
 def euler_hom_real(P: FinitePoset, k: int, mode: str) -> int:
     """Euler characteristic of the strict or weak monotone maps P -> R^k
-    (lexicographic order, k real coordinates)."""
-    _check_mode(mode)
-    if not _is_count(k):
-        raise ValueError(f"k must be a nonnegative int, got {k!r}")
-    sign, mode = _to_depth_zero(len(P), k, mode)
-    return sign * _chain_sums(P, mode, 1)[-1]
+    (lexicographic order, k real coordinates): the maps into
+    `LexPoset(chain(1), k)`."""
+    return euler_hom(P, LexPoset(chain(1), k), mode)
 
 
 def euler_hom(P: FinitePoset, Q: LexPoset, mode: str) -> int:

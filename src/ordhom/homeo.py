@@ -117,7 +117,10 @@ def lemma_phi(f: float, t: float) -> float:
 
 
 def lemma_phi_inv(f: float, s: float) -> float:
-    """Exact piecewise-linear inverse of lemma_phi; accepts any real s."""
+    """Exact piecewise-linear inverse of lemma_phi; accepts any finite s
+    (an infinite or NaN s raises DomainError)."""
+    if not math.isfinite(s):
+        raise DomainError(f"need a finite s, got s={s!r}")
     if f == NEG_INF:
         return s - 1.0
     if s >= 0.0:
@@ -163,8 +166,12 @@ def membership(P: FinitePoset, Q: FinitePoset, point: LexHomPoint, k: int) -> bo
 
 def _stages(P: FinitePoset, Q: FinitePoset, point: LexHomPoint, inverse: bool):
     """Check the input, then run forward's stages, or backward's when inverse,
-    on one list of reals; yields the stage claimed and the list after each."""
+    on one list of reals; yields the stage claimed and the list after each.
+    A real that is not finite, in the input or after a stage, raises
+    DomainError."""
     n = len(P)
+    if not all(map(math.isfinite, point.reals)):
+        raise DomainError("the reals must be finite")
     lower = _constraints(P, Q, point, 1 if inverse else n)
     if lower is None:
         raise MembershipError("base map is not weakly monotone" if inverse else
@@ -176,6 +183,9 @@ def _stages(P: FinitePoset, Q: FinitePoset, point: LexHomPoint, inverse: bool):
     reals = list(point.reals)
     for k in ks:
         reals[k] = phi(max((reals[a] for a in lower[k]), default=NEG_INF), reals[k])
+        if not math.isfinite(reals[k]):
+            raise DomainError(f"stage {k + shift} overflows the float range "
+                              f"at numbering position {k}")
         yield k + shift, reals
     if not ks:
         yield 1, reals  # n <= 1: X_1 is already the strict space
@@ -197,7 +207,8 @@ def forward(P: FinitePoset, Q: FinitePoset, point: LexHomPoint) -> LexHomPoint:
 
     Working down from the last coordinate, each stage k rewrites reals[k]
     (position k+1) through lemma_phi with the bound read off the untouched
-    earlier coordinates. The base map is returned untouched.
+    earlier coordinates. The base map is returned untouched. A real that
+    is not finite, or a stage that overflows, raises DomainError.
     """
     k, reals = deque(_stages(P, Q, point, False), maxlen=1)[0]
     return LexHomPoint(point.base, tuple(reals), k)
@@ -218,7 +229,8 @@ def backward(P: FinitePoset, Q: FinitePoset, point: LexHomPoint) -> LexHomPoint:
     """Weak base map with free reals -> strict map into Q x R.
 
     Inverse pass: each stage k rewrites reals[k] through lemma_phi_inv with
-    the bound read off the already-restored earlier coordinates.
+    the bound read off the already-restored earlier coordinates. A real
+    that is not finite, or a stage that overflows, raises DomainError.
     """
     k, reals = deque(_stages(P, Q, point, True), maxlen=1)[0]
     return LexHomPoint(point.base, tuple(reals), k)

@@ -225,7 +225,8 @@ def admissible_numbering(P: FinitePoset) -> Numbering:
     """Linear extension by repeated removal of minimal elements.
 
     Ties are broken by input element order, so the result is deterministic.
-    It is computed once per poset and kept on it.
+    It is computed once per poset and kept on it. Masks whose order has a
+    cycle, so that no element is minimal, raise CycleError.
     """
     if P._numbering is not None:
         return P._numbering
@@ -239,6 +240,8 @@ def admissible_numbering(P: FinitePoset) -> Numbering:
                 order.append(i)
                 remaining &= ~(1 << i)
                 break
+        else:
+            raise CycleError("order masks contain a cycle")
     P._numbering = Numbering(tuple(order))
     return P._numbering
 

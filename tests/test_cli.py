@@ -332,6 +332,25 @@ def test_homeo_rejects_non_finite_reals(capsys, files, token, direction):
     assert rep["status"] == "error" and "finite" in rep["result"]["error"]
 
 
+@pytest.mark.parametrize("direction, reals", [
+    ("forward", [-1e308, 1e308]),
+    ("roundtrip", [-1e308, 1e308]),
+    ("backward", [1e308, 1e308]),
+])
+def test_homeo_stage_overflow_is_an_error(capsys, files, direction, reals):
+    # finite reads whose stage output leaves the float range
+    pt = files.write("pt.json", {"base": ["1", "1"], "reals": reals})
+    argv = ["homeo", files.chain2, files.chain1, pt, "--direction", direction]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "overflows" in err
+    code, out, _ = run(capsys, argv + ["--json"])
+    assert code == 1
+    assert "Infinity" not in out and "NaN" not in out
+    rep = json.loads(out)
+    assert rep["status"] == "error" and "overflows" in rep["result"]["error"]
+
+
 def test_homeo_roundtrip_random(capsys, files):
     code, rep, _ = run_json(capsys, ["homeo", files.v, files.chain2,
                                      "--random", "50", "--seed", "7",
@@ -434,6 +453,34 @@ def test_json_report_schema(capsys, files):
         assert entry["path"]
         digest = entry["sha256"]
         assert len(digest) == 64 and all(c in "0123456789abcdef" for c in digest)
+
+
+@pytest.mark.parametrize("argv, roles", [
+    (["homcount", "{v}", "{chain3}", "--mode", "weak"], ("P", "Q")),
+    (["ordpoly", "{v}", "--mode", "strict"], ("P",)),
+    (["reciprocity", "{v}"], ("P",)),
+    (["euler", "{v}", "{chain2}", "--mode", "weak", "--depth", "1"], ("P", "Q")),
+    (["euler-reciprocity", "{v}", "{chain2}", "--depth", "1"], ("P", "Q")),
+    (["homeo", "{chain2}", "{chain1}", "--random", "3", "--seed", "0",
+      "--direction", "backward"], ("P", "Q")),
+    (["homeo", "{chain2}", "{chain1}", "{point}", "--direction", "forward"],
+     ("P", "Q", "point")),
+])
+def test_inputs_name_each_file_argument_with_its_digest(capsys, files, argv, roles):
+    point = files.write("point.json", {"base": ["1", "1"], "reals": [0.0, 1.0]})
+    argv = [a.format(v=files.v, chain1=files.chain1, chain2=files.chain2,
+                     chain3=files.chain3, point=point) for a in argv]
+    _, rep, _ = run_json(capsys, argv)
+    assert rep["status"] != "error"
+    # the file arguments are the positionals right after the command
+    assert list(rep["inputs"]) == list(roles)
+    for role, path in zip(roles, argv[1:]):
+        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        assert rep["inputs"][role] == {"path": path, "sha256": digest}
+    argv[1] = str(Path(files.v).with_name("missing.json"))
+    code, rep, _ = run_json(capsys, argv)
+    assert code == 1 and rep["status"] == "error"
+    assert rep["inputs"] == {}
 
 
 def test_identical_runs_identical_output(capsys, files):

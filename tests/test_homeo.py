@@ -122,6 +122,28 @@ def test_lemma_phi_inv_never_returns_domain_edge():
         assert lemma_phi_inv(5.5, s) > 5.5
 
 
+def test_stage_overflow_raises_domain_error():
+    P, Q = chain(2), chain(1)
+    strict = mk_point(P, Q, (0, 0), (-1e308, 1e308), 2)
+    free = mk_point(P, Q, (0, 0), (1e308, 1e308), 1)
+    for run, x in ((forward, strict), (forward_trace, strict),
+                   (backward, free), (backward_trace, free)):
+        with pytest.raises(DomainError, match="overflows"):
+            run(P, Q, x)
+
+
+@pytest.mark.parametrize("bad", [NEG_INF, math.inf, math.nan])
+def test_non_finite_reals_raise_domain_error(bad):
+    for f in (0.0, NEG_INF):
+        with pytest.raises(DomainError, match="finite"):
+            lemma_phi_inv(f, bad)
+    P, Q = chain(2), chain(1)
+    for run in (forward, forward_trace, backward, backward_trace):
+        for reals in ((0.0, bad), (bad, 0.0)):
+            with pytest.raises(DomainError, match="finite"):
+                run(P, Q, mk_point(P, Q, (0, 0), reals, 2))
+
+
 def test_usc_examples():
     pt = mk_point(chain(2), chain(1), (0, 0), (5.0, 99.0), 2)
     spec = usc_spec(pt, 1)

@@ -198,6 +198,24 @@ def test_admissible_numbering_is_computed_once_per_poset():
     assert admissible_numbering(fresh) == first
 
 
+def test_cyclic_masks_raise_cycle_error():
+    # masks of a < b < a, which build_poset would refuse; a child process
+    # runs it, so that a regression that loops again fails on the timeout
+    # instead of hanging the suite
+    code = ("from ordhom import *\n"
+            "for run in (admissible_numbering, lambda P: order_polynomial(P, WEAK)):\n"
+            "    try:\n"
+            "        run(FinitePoset(['a', 'b'], [2, 1]))\n"
+            "    except CycleError:\n"
+            "        continue\n"
+            "    raise SystemExit(f'{run.__name__}: no CycleError')\n")
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_lex_poset_negation_and_euler():
     Q = LexPoset(chain(3), 0)
     assert euler_char(Q) == 3
